@@ -27,7 +27,7 @@ int main() {
   bench::print_header(
       "Distributed erosion — SPMD ranks, real halo/migration messages",
       "extends Boulmier et al. SectionIV-B beyond one address space "
-      "(ROADMAP: distribute the sharded domain)");
+      "(the per-rank column-stripe decomposition)");
 
   const std::vector<std::int64_t> rank_counts{1, 2, 4, 8};
   const std::vector<std::string> partitioners{"greedy", "rcb", "optimal",
@@ -78,9 +78,9 @@ int main() {
   // periodically rebalanced, plus the damped boundary tuner. The tuner must
   // (a) keep the trajectory bit-identical (it only moves tile boundaries)
   // and (b) end with less per-rank weight imbalance than the static grid.
-  std::printf("\nDecomposition comparison — 4 ranks, periodic rebalance, "
-              "counter RNG; the\ndamped tuner vs. a fresh per-dimension "
-              "recut vs. no rebalance at all:\n\n");
+  std::printf("\nDecomposition comparison — 4 ranks, periodic rebalance; "
+              "the damped\ntuner vs. a fresh per-dimension recut vs. no "
+              "rebalance at all:\n\n");
   const auto grid_rows = bench::grid_decomposition_sweep(
       /*ranks=*/4, /*pe_count=*/32, /*strong_rocks=*/1, /*seed=*/11,
       /*iterations=*/120);

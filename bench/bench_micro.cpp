@@ -16,7 +16,6 @@
 #include "core/schedule.hpp"
 #include "erosion/distributed_domain.hpp"
 #include "erosion/domain.hpp"
-#include "erosion/sharded_domain.hpp"
 #include "lb/partitioners.hpp"
 #include "lb/stripe_partitioner.hpp"
 #include "opt/dp_alpha.hpp"
@@ -122,13 +121,6 @@ erosion::DomainConfig bench_erosion_config() {
   return cfg;
 }
 
-void BM_ErosionStep(benchmark::State& state) {
-  erosion::ErosionDomain domain(bench_erosion_config());
-  support::Rng rng(4);
-  for (auto _ : state) benchmark::DoNotOptimize(domain.step(rng));
-}
-BENCHMARK(BM_ErosionStep);
-
 /// One Philox draw through the counter RNG — the per-cell cost floor of the
 /// counter stepper's decide pass.
 void BM_CounterRngDraw(benchmark::State& state) {
@@ -139,33 +131,11 @@ void BM_CounterRngDraw(benchmark::State& state) {
 }
 BENCHMARK(BM_CounterRngDraw);
 
-// The fork-vs-counter pair below is the perf-gated comparison: identical
-// workload, identical reset cadence (erosion decays the frontier, so an
-// ever-evolving domain would measure a shrinking problem — both benches
-// rebuild the domain every 48 steps, outside the timed region). The ratio
-// BM_ErosionStepFork/BM_ErosionStepCounter/1 is gated at >= 1.5x, and
-// .../8 at >= 6x on machines with >= 8 CPUs (see bench/baselines).
+// Erosion decays the frontier, so an ever-evolving domain would measure a
+// shrinking problem: the bench rebuilds the domain every 48 steps, outside
+// the timed region. Real time, not cpu_time: the pooled variant hands work
+// to worker threads, which the main thread's CPU clock would miss.
 constexpr int kStepsPerEpoch = 48;
-
-void BM_ErosionStepFork(benchmark::State& state) {
-  erosion::ErosionDomain domain(bench_erosion_config());
-  support::Rng rng(4);
-  int steps = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(domain.step(rng));
-    if (++steps == kStepsPerEpoch) {
-      state.PauseTiming();
-      domain = erosion::ErosionDomain(bench_erosion_config());
-      rng = support::Rng(4);
-      steps = 0;
-      state.ResumeTiming();
-    }
-  }
-}
-// Real time, not cpu_time: the counter benchmarks hand work to a pool, and
-// the main thread's CPU clock would miss it. Fork uses the same clock so
-// the fork/counter ratios compare like with like.
-BENCHMARK(BM_ErosionStepFork)->UseRealTime();
 
 void BM_ErosionStepCounter(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
@@ -188,22 +158,6 @@ void BM_ErosionStepCounter(benchmark::State& state) {
 }
 BENCHMARK(BM_ErosionStepCounter)->Arg(1)->Arg(8)->UseRealTime();
 
-void BM_ShardedErosionStep(benchmark::State& state) {
-  erosion::DomainConfig cfg = bench_erosion_config();
-  erosion::ShardedDomain domain(
-      cfg, state.range(0),
-      std::shared_ptr<const lb::Partitioner>(lb::make_partitioner("greedy")));
-  // A pool of 1 (the serial reference path) isolates the sharding
-  // discipline's overhead — stream split, per-shard decide/apply, ordered
-  // commit — from scheduler noise; multi-thread scaling is covered
-  // functionally by test_sharded_erosion and is too run-to-run noisy on
-  // shared CI runners to perf-gate.
-  support::ThreadPool pool(1);
-  support::Rng rng(4);
-  for (auto _ : state) benchmark::DoNotOptimize(domain.step(rng, pool));
-}
-BENCHMARK(BM_ShardedErosionStep)->Arg(1)->Arg(4);
-
 void BM_DistributedErosionStep(benchmark::State& state) {
   // One measured unit = an 8-step SPMD run over 4 ranks (construction
   // included — spawning the world is part of what the exchange mode must
@@ -225,9 +179,8 @@ void BM_DistributedErosionStep(benchmark::State& state) {
           std::shared_ptr<const lb::Partitioner>(
               lb::make_partitioner("greedy")),
           mode);
-      support::Rng rng(4);
       std::int64_t total = 0;
-      for (int s = 0; s < 8; ++s) total += domain.step(rng);
+      for (int s = 0; s < 8; ++s) total += domain.step_counter(4, s);
       if (comm.rank() == 0) eroded = total;
     });
     benchmark::DoNotOptimize(eroded);

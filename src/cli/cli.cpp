@@ -29,13 +29,10 @@ std::string quickstart_help() {
          "options:\n"
          "  --threads <int>      host threads stepping the mini erosion run "
          "[1]\n"
-         "  --shards <int>       host shards stepping the mini erosion run "
-         "[1]\n"
          "  --ranks <int>        SPMD ranks stepping the mini erosion run "
          "over the\n"
-         "                       message-passing runtime (exclusive with "
-         "--shards) [1]\n"
-         "  --partitioner <name> shard/stripe cutter: greedy|rcb|optimal|"
+         "                       message-passing runtime [1]\n"
+         "  --partitioner <name> LB/stripe cutter: greedy|rcb|optimal|"
          "stripe [greedy]\n"
          "  --seed <int>         placement seed of the mini erosion run "
          "[11]\n\n" +
@@ -44,48 +41,37 @@ std::string quickstart_help() {
 
 std::string erosion_help() {
   return "Run the paper's erosion application (Section IV-B) under the "
-         "standard\nLB method and under ULBA, same seed, and compare.\n\n"
+         "standard\nLB method and under ULBA, same seed, and compare.\n"
+         "The dynamics draw counter-based (Philox) random numbers addressed "
+         "by\n(disc, iteration, cell): one trajectory per seed for every "
+         "--threads x\n--ranks combination.\n\n"
          "options:\n"
-         "  --mt                   measure real wall clock instead of only "
-         "the\n"
-         "                         virtual-time BSP model: alone, the legacy "
-         "thread-\n"
-         "                         backed app; with --ranks, the measured-"
-         "time\n"
-         "                         distributed mode (per-rank CPU burn + "
-         "steady_clock\n"
-         "                         iteration/LB/migration times, dynamics "
-         "bit-identical\n"
-         "                         to the model-time run)\n"
+         "  --mt                   measure real wall clock next to the "
+         "virtual-time\n"
+         "                         BSP model (requires --ranks): per-rank CPU "
+         "burn +\n"
+         "                         steady_clock iteration/LB/migration "
+         "times, dynamics\n"
+         "                         bit-identical to the model-time run\n"
          "  --pes <int>            processing elements   [32; 8 with --mt]\n"
          "  --strong <int>         strongly erodible rocks [1]\n"
          "  --seed <int>           placement seed          [11]\n"
-         "  --iterations <int>     iterations              [180; 80 with "
-         "--mt]\n"
+         "  --iterations <int>     iterations              [180]\n"
          "  --alpha <0..1>         ULBA fraction           [0.4]\n"
-         "  --columns-per-pe <int> stripe width            [256; 96 with "
-         "--mt]\n"
-         "  --rows <int>           domain height           [384; 96 with "
-         "--mt]\n"
-         "  --rock-radius <int>    disc radius             [96; 24 with "
-         "--mt]\n"
-         "  --threads <int>        host threads stepping the dynamics "
-         "(per-disc\n"
-         "                         RNG substreams; not combinable with "
-         "--mt)  [1]\n"
-         "  --shards <int>         host shards stepping the dynamics "
-         "(bit-identical\n"
-         "                         to the serial run; not combinable with "
-         "--mt)  [1]\n"
+         "  --columns-per-pe <int> stripe width            [256]\n"
+         "  --rows <int>           domain height           [384]\n"
+         "  --rock-radius <int>    disc radius             [96]\n"
+         "  --threads <int>        host threads stepping the dynamics (per "
+         "rank with\n"
+         "                         --ranks; bit-identical to one thread)  "
+         "[1]\n"
          "  --ranks <int>          SPMD ranks stepping the dynamics over the "
          "message-\n"
          "                         passing runtime: per-rank column stripes, "
          "real halo/\n"
          "                         migration messages, bit-identical to the "
-         "serial run\n"
-         "                         (exclusive with --shards and --mt)  [1]\n"
-         "  --partitioner <name>   disc-to-shard/rank + LB cutting "
-         "algorithm:\n"
+         "serial run  [1]\n"
+         "  --partitioner <name>   rank-stripe + LB cutting algorithm:\n"
          "                         greedy|rcb|optimal|stripe      [greedy]\n"
          "  --exchange <mode>      per-step exchange of the distributed "
          "stepper:\n"
@@ -280,7 +266,8 @@ const std::vector<Subcommand>& registry() {
        run_quickstart,
        quickstart_help},
       {"erosion",
-       "the erosion application, standard vs. ULBA (--mt: real threads)",
+       "the erosion application, standard vs. ULBA (--ranks R --mt: "
+       "measured)",
        {"mt", "tuner"},
        run_erosion,
        erosion_help},

@@ -15,7 +15,6 @@
 #include "core/schedule.hpp"
 #include "core/schedule_query.hpp"
 #include "erosion/app.hpp"
-#include "erosion/threaded_app.hpp"
 #include "lb/grid.hpp"
 #include "lb/partitioners.hpp"
 #include "opt/dp_optimal.hpp"
@@ -76,24 +75,18 @@ core::ModelParams intervals_defaults() {
 
 int run_quickstart(const FlagMap& flags, std::ostream& out) {
   flags.require_known(
-      with_model_flags({"threads", "shards", "ranks", "partitioner", "seed"}));
+      with_model_flags({"threads", "ranks", "partitioner", "seed"}));
   const core::ModelParams p =
       parse_model_params(flags, quickstart_defaults());
   const std::uint64_t seed = flags.get_seed("seed", 11);
   const std::int64_t threads = flags.get_int("threads", 1);
-  const std::int64_t shards = flags.get_int("shards", 1);
   const std::int64_t ranks = flags.get_int("ranks", 1);
   const std::string partitioner = flags.get_string("partitioner", "greedy");
   ConfigValidator v;
   ULBA_CHECK_FLAG(v, threads >= 1 && threads <= 256, "--threads",
                   "--threads must be in [1, 256]");
-  ULBA_CHECK_FLAG(v, shards >= 1 && shards <= 16, "--shards",
-                  "--shards must be in [1, 16]");
   ULBA_CHECK_FLAG(v, ranks >= 1 && ranks <= 16, "--ranks",
                   "--ranks must be in [1, 16]");
-  ULBA_CHECK_FLAG(v, shards == 1 || ranks == 1, "--shards",
-                  "--shards steps in-process, --ranks steps over the SPMD "
-                  "runtime; pick one");
   v.raise_first();
   // Reject bad names before any of the analytic report is streamed.
   (void)lb::make_partitioner(partitioner);
@@ -126,9 +119,8 @@ int run_quickstart(const FlagMap& flags, std::ostream& out) {
   // The model in practice: a miniature §IV-B erosion run (--seed, default
   // 11 like the other erosion subcommands; the shared Table-II comm
   // calibration of scaled_app_config, geometry scaled down further),
-  // stepped on `--threads` host threads. --threads 1 is the classic
-  // shared-stream serial stepper; any N > 1 uses per-disc substreams and
-  // yields one identical virtual-time result for every such N (see
+  // stepped on `--threads` host threads and `--ranks` SPMD ranks — one
+  // identical virtual-time result for every combination (see
   // AppConfig::threads).
   erosion::AppConfig mini =
       scaled_app_config(16, 1, erosion::Method::kStandard, seed);
@@ -138,7 +130,6 @@ int run_quickstart(const FlagMap& flags, std::ostream& out) {
   mini.iterations = 120;
   mini.alpha = p.alpha;
   mini.threads = threads;
-  mini.shards = shards;
   mini.ranks = ranks;
   mini.partitioner = partitioner;
   mini.validate();
@@ -148,7 +139,6 @@ int run_quickstart(const FlagMap& flags, std::ostream& out) {
   const erosion::RunResult mini_ulba = erosion::ErosionApp(mini).run();
   out << "\nin practice (mini erosion run: 16 PEs, seed " << mini.seed
       << ", " << threads << " thread(s)";
-  if (shards > 1) out << ", " << shards << " shards via " << partitioner;
   if (ranks > 1) out << ", " << ranks << " SPMD ranks via " << partitioner;
   out << "):\n"
       << "  standard : " << mini_std.total_seconds << " s  ("
@@ -165,9 +155,9 @@ int run_quickstart(const FlagMap& flags, std::ostream& out) {
 int run_erosion(const FlagMap& flags, std::ostream& out) {
   flags.require_known({"mt", "pes", "strong", "seed", "iterations", "alpha",
                        "columns-per-pe", "rows", "rock-radius", "threads",
-                       "shards", "ranks", "partitioner", "exchange",
-                       "ns-scale", "migration-scale", "rng", "decomp", "grid",
-                       "tuner", "tuner-cap", "tuner-maxiter", "tuner-tol",
+                       "ranks", "partitioner", "exchange", "ns-scale",
+                       "migration-scale", "decomp", "grid", "tuner",
+                       "tuner-cap", "tuner-maxiter", "tuner-tol",
                        "trigger-source", "trigger-criterion", "fli-threshold",
                        "noise"});
   const bool mt = flags.has("mt");
@@ -176,12 +166,9 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   const std::uint64_t seed = flags.get_seed("seed", 11);
   const double alpha = flags.get_double("alpha", 0.4);
   const std::int64_t threads = flags.get_int("threads", 1);
-  const std::int64_t shards = flags.get_int("shards", 1);
   const std::int64_t ranks = flags.get_int("ranks", 1);
   const std::string partitioner = flags.get_string("partitioner", "greedy");
   const std::string exchange = flags.get_string("exchange", "neighbor");
-  const erosion::RngKind rng_kind =
-      erosion::rng_kind_from_name(flags.get_string("rng", "fork"));
   const double ns_scale = flags.get_double("ns-scale", 4.0);
   const double migration_scale = flags.get_double("migration-scale", 8.0);
   const std::string decomp = flags.get_string("decomp", "stripes");
@@ -205,30 +192,17 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
                   "--alpha must be in (0, 1]");
   ULBA_CHECK_FLAG(v, threads >= 1 && threads <= 256, "--threads",
                   "--threads must be in [1, 256]");
-  ULBA_CHECK_FLAG(v, shards >= 1 && shards <= 64, "--shards",
-                  "--shards must be in [1, 64]");
   ULBA_CHECK_FLAG(v, ranks >= 1 && ranks <= 64, "--ranks",
                   "--ranks must be in [1, 64]");
   ULBA_CHECK_FLAG(v, ns_scale > 0.0 && migration_scale >= 0.0, "--ns-scale",
                   "--ns-scale must be positive, --migration-scale "
                   "nonnegative");
-  ULBA_CHECK_FLAG(v, shards == 1 || ranks == 1, "--shards",
-                  "--shards steps in-process, --ranks steps over the SPMD "
-                  "runtime; pick one");
-  // --mt alone is the legacy thread-backed app; --mt with --ranks is the
-  // measured-time DISTRIBUTED mode, which keeps the full virtual-time knob
-  // set (partitioner, exchange, per-rank pools).
-  ULBA_CHECK_FLAG(v, !mt || ranks > 1 || !flags.has("threads"), "--threads",
-                  "--threads steps the virtual-time dynamics; --mt without "
-                  "--ranks already runs on real OS threads");
-  ULBA_CHECK_FLAG(v,
-                  !mt || ranks > 1 ||
-                      (!flags.has("shards") && !flags.has("partitioner") &&
-                       !flags.has("exchange")),
-                  "--shards",
-                  "--shards/--partitioner/--exchange drive the virtual-time "
-                  "steppers; combine --mt with --ranks for the measured-time "
-                  "distributed mode");
+  // Real wall clock comes from the measured-time DISTRIBUTED mode, which
+  // keeps the full virtual-time knob set (partitioner, exchange, per-rank
+  // pools).
+  ULBA_CHECK_FLAG(v, !mt || ranks > 1, "--mt",
+                  "--mt measures wall clock on the SPMD runtime; pass "
+                  "--ranks R --mt (R >= 2)");
   ULBA_CHECK_FLAG(v,
                   mt || (!flags.has("ns-scale") &&
                          !flags.has("migration-scale")),
@@ -238,13 +212,8 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   ULBA_CHECK_FLAG(v, !flags.has("exchange") || ranks > 1, "--exchange",
                   "--exchange routes the distributed step exchange; pass "
                   "--ranks");
-  ULBA_CHECK_FLAG(v, !flags.has("rng") || !mt || ranks > 1, "--rng",
-                  "--rng selects the virtual-time dynamics stream; the "
-                  "legacy --mt thread app has its own stepper (combine --mt "
-                  "with --ranks for the measured-time distributed mode)");
   // The measured trigger source closes the LB loop on real steady_clock
-  // timings — only the measured-time DISTRIBUTED mode produces them (the
-  // legacy --mt thread app has its own fixed schedule machinery).
+  // timings — only the measured-time distributed mode produces them.
   ULBA_CHECK_FLAG(v,
                   trigger_source == erosion::TriggerSource::kModel ||
                       (mt && ranks > 1),
@@ -298,48 +267,6 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
     grid_cols = shape.cols;
   }
 
-  if (mt && ranks == 1) {
-    erosion::ThreadedConfig cfg;
-    cfg.pe_count = pe_count;
-    cfg.strong_rock_count = strong;
-    cfg.seed = seed;
-    cfg.alpha = alpha;
-    cfg.columns_per_pe = flags.get_int("columns-per-pe", 96);
-    cfg.rows = flags.get_int("rows", 96);
-    cfg.rock_radius = flags.get_int("rock-radius", 24);
-    cfg.iterations = flags.get_int("iterations", 80);
-    cfg.ns_scale = ns_scale;
-    cfg.migration_scale = migration_scale;
-    cfg.validate();
-
-    out << "Threaded erosion: " << cfg.pe_count << " ranks (OS threads), "
-        << cfg.strong_rock_count << " strong rock(s), " << cfg.iterations
-        << " iterations\n\n";
-    cfg.method = erosion::Method::kStandard;
-    const erosion::ThreadedRunResult std_run = erosion::run_threaded(cfg);
-    cfg.method = erosion::Method::kUlba;
-    const erosion::ThreadedRunResult ulba_run = erosion::run_threaded(cfg);
-
-    const auto report = [&out](const char* name,
-                               const erosion::ThreadedRunResult& r) {
-      out << name << "\n"
-          << "  wall clock       : " << r.wall_seconds << " s (measured)\n"
-          << "  LB calls         : " << r.lb_count << "\n"
-          << "  mean utilization : " << r.mean_utilization * 100.0 << " %\n"
-          << "  iteration times  : "
-          << support::sparkline(r.iteration_seconds) << "\n\n";
-    };
-    report("standard LB method:", std_run);
-    report("ULBA:", ulba_run);
-    out << "==> ULBA gain: "
-        << (std_run.wall_seconds - ulba_run.wall_seconds) /
-               std_run.wall_seconds * 100.0
-        << " % measured wall clock (same dynamics: " << std_run.eroded_cells
-        << " == " << ulba_run.eroded_cells << " cells eroded)\n"
-        << "(wall-clock noise is real; re-run for another sample)\n";
-    return 0;
-  }
-
   erosion::AppConfig cfg;
   cfg.pe_count = pe_count;
   cfg.strong_rock_count = strong;
@@ -353,7 +280,6 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   cfg.comm.latency_s = 1e-4;
   cfg.comm.bandwidth_Bps = 2e9;
   cfg.threads = threads;
-  cfg.shards = shards;
   cfg.ranks = ranks;
   cfg.partitioner = partitioner;
   cfg.exchange = exchange;
@@ -364,7 +290,6 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   cfg.trigger_source = trigger_source;
   cfg.trigger_criterion = trigger_criterion;
   cfg.fli_threshold = fli_threshold;
-  cfg.rng_kind = rng_kind;
   cfg.decomp = decomp;
   cfg.grid_rows = grid_rows;
   cfg.grid_cols = grid_cols;
@@ -380,14 +305,6 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
       << "(domain " << cfg.columns() << "x" << cfg.rows
       << " cells, rock radius " << cfg.rock_radius << ", alpha = "
       << cfg.alpha << ", " << cfg.threads << " stepping thread(s))\n";
-  if (cfg.rng_kind == erosion::RngKind::kCounter)
-    out << "(counter-based RNG: Philox draws addressed by (disc, iteration, "
-           "cell); one trajectory for every threads/shards/ranks "
-           "combination)\n";
-  if (cfg.shards > 1)
-    out << "(sharded stepping: " << cfg.shards << " shards cut by "
-        << cfg.partitioner
-        << "; trajectory bit-identical to the unsharded serial run)\n";
   if (cfg.ranks > 1 && cfg.decomp == "grid") {
     const lb::GridShape shape =
         lb::resolve_grid_shape(cfg.ranks, cfg.grid_rows, cfg.grid_cols);
@@ -444,16 +361,6 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   };
   report("standard LB method (adaptive trigger of Zhai et al.):", std_run);
   report("ULBA (anticipatory underloading):", ulba_run);
-
-  if (cfg.shards > 1) {
-    out << "re-sharding (one boundary-delta exchange per LB step):\n"
-        << "  standard : " << std_run.shard_discs_moved
-        << " disc move(s), " << std_run.shard_migration_bytes / 1e6
-        << " MB exchanged\n"
-        << "  ULBA     : " << ulba_run.shard_discs_moved
-        << " disc move(s), " << ulba_run.shard_migration_bytes / 1e6
-        << " MB exchanged\n\n";
-  }
 
   if (cfg.ranks > 1) {
     out << "rank migration (real messages, one stripe recut per LB step):\n"

@@ -25,8 +25,8 @@ namespace ulba::cli {
 int run_quickstart(const FlagMap& flags, std::ostream& out);
 
 /// `erosion` — the §IV-B erosion application under the standard method and
-/// under ULBA; `--mt` switches from the virtual-time BSP simulation to the
-/// real-thread SPMD runtime with measured wall-clock times.
+/// under ULBA; `--ranks R --mt` adds measured wall-clock times from the
+/// SPMD runtime to the virtual-time BSP simulation.
 int run_erosion(const FlagMap& flags, std::ostream& out);
 
 /// `intervals` — α sweep of σ⁻/σ⁺/schedule/total time with the exact DP

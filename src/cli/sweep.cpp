@@ -283,7 +283,8 @@ std::vector<PartitionerQualityRow> partitioner_quality_sweep(
   const erosion::AppConfig cfg =
       scaled_app_config(pe_count, 1, erosion::Method::kStandard, seed);
   erosion::ErosionDomain domain(erosion::ErosionApp(cfg).make_domain());
-  support::Rng rng = support::Rng(seed).fork(1);
+  const std::uint64_t dynamics_seed = support::Rng(seed).fork(1).seed();
+  std::int64_t iteration = 0;
 
   const std::vector<double> targets(
       static_cast<std::size_t>(pe_count),
@@ -301,15 +302,14 @@ std::vector<PartitionerQualityRow> partitioner_quality_sweep(
     rows.push_back(std::move(row));
     if (snapshot < snapshots)
       for (std::int64_t it = 0; it < iterations_between; ++it)
-        (void)domain.step(rng);
+        (void)domain.step_counter(dynamics_seed, iteration++);
   }
   return rows;
 }
 
 std::vector<PartitionerEndToEnd> partitioner_end_to_end(
     std::span<const std::string> names, std::int64_t pe_count,
-    std::int64_t strong_rocks, std::span<const std::uint64_t> seeds,
-    std::int64_t shards) {
+    std::int64_t strong_rocks, std::span<const std::uint64_t> seeds) {
   ULBA_REQUIRE(!names.empty() && !seeds.empty(),
                "need at least one partitioner and one seed");
   struct Case {
@@ -325,7 +325,6 @@ std::vector<PartitionerEndToEnd> partitioner_end_to_end(
     erosion::AppConfig cfg = scaled_app_config(pe_count, strong_rocks,
                                                cases[i].method, cases[i].seed);
     cfg.partitioner = names[cases[i].name_idx];
-    cfg.shards = shards;
     return erosion::ErosionApp(cfg).run().total_seconds;
   });
 
@@ -532,7 +531,6 @@ std::vector<GridDecompRow> grid_decomposition_sweep(
   erosion::AppConfig base = scaled_app_config(
       pe_count, strong_rocks, erosion::Method::kUlba, seed);
   if (iterations > 0) base.iterations = iterations;
-  base.rng_kind = erosion::RngKind::kCounter;
   // A handful of rebalances over the run, so the damped tuner gets enough
   // steps to walk the boundaries toward balance within its per-step cap.
   base.lb_period = std::max<std::int64_t>(1, base.iterations / 6);

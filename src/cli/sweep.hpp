@@ -160,9 +160,7 @@ struct PartitionerQualityRow {
     std::int64_t snapshots, std::int64_t iterations_between,
     std::uint64_t seed);
 
-/// Median end-to-end erosion times per partitioner (standard vs. ULBA),
-/// stepped through `shards` host shards (1 = the unsharded classic path —
-/// the totals are shard-invariant either way).
+/// Median end-to-end erosion times per partitioner (standard vs. ULBA).
 struct PartitionerEndToEnd {
   std::string name;
   double median_standard = 0.0;
@@ -170,8 +168,7 @@ struct PartitionerEndToEnd {
 };
 [[nodiscard]] std::vector<PartitionerEndToEnd> partitioner_end_to_end(
     std::span<const std::string> names, std::int64_t pe_count,
-    std::int64_t strong_rocks, std::span<const std::uint64_t> seeds,
-    std::int64_t shards);
+    std::int64_t strong_rocks, std::span<const std::uint64_t> seeds);
 
 // ---------------------------------------------------------------------------
 // Dynamic-α ablation (ulba_cli dynamic-alpha, bench_ablation_dynamic_alpha)
@@ -286,12 +283,12 @@ struct GridDecompRow {
   std::int64_t discs_moved = 0;  ///< rank-ownership migrations, all LB steps
   /// 1 when every trajectory-facing RunResult field is bit-identical to a
   /// ranks = 1 run with the same trigger schedule — the per-decomposition
-  /// determinism contract (counter RNG).
+  /// determinism contract.
   std::uint8_t matches_serial = 0;
 };
 
 /// Run the scaled erosion app at `ranks` SPMD ranks under {stripes, grid} ×
-/// {static, periodic recut} plus grid + damped tuner, counter RNG, and
+/// {static, periodic recut} plus grid + damped tuner, and
 /// compare each trajectory bit-for-bit against the matching ranks = 1
 /// reference. `ranks` must be 2D-factorable (e.g. 4 → 2×2). Runs
 /// sequentially (each cell already spawns `ranks` SPMD threads).

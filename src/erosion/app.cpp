@@ -14,7 +14,6 @@
 #include "core/trigger.hpp"
 #include "core/schedule_query.hpp"
 #include "erosion/distributed_domain.hpp"
-#include "erosion/sharded_domain.hpp"
 #include "lb/driver.hpp"
 #include "opt/evaluate.hpp"
 #include "lb/stripe_partitioner.hpp"
@@ -43,23 +42,6 @@ std::string alpha_policy_name(AlphaPolicy policy) {
       return "model";
   }
   return "fixed";
-}
-
-RngKind rng_kind_from_name(const std::string& name) {
-  if (name == "fork") return RngKind::kFork;
-  if (name == "counter") return RngKind::kCounter;
-  throw std::invalid_argument("unknown rng kind '" + name +
-                              "' (accepted: fork, counter)");
-}
-
-std::string rng_kind_name(RngKind kind) {
-  switch (kind) {
-    case RngKind::kFork:
-      return "fork";
-    case RngKind::kCounter:
-      return "counter";
-  }
-  return "fork";
 }
 
 TriggerSource trigger_source_from_name(const std::string& name) {
@@ -466,11 +448,10 @@ RunResult run_distributed(const AppConfig& config,
                                     exchange, grid)
                 : DistributedDomain(domain_config, comm, partitioner,
                                     exchange);
-        // Both RNG kinds key the dynamics off the same forked sub-seed, so
-        // neither can collide with the placement/gossip streams.
-        support::Rng dynamics_rng = support::Rng(config.seed).fork(1);
-        const std::uint64_t dynamics_seed = dynamics_rng.seed();
-        const bool counter = config.rng_kind == RngKind::kCounter;
+        // The dynamics key: a forked sub-seed, so the Philox draws cannot
+        // collide with the placement/gossip streams.
+        const std::uint64_t dynamics_seed =
+            support::Rng(config.seed).fork(1).seed();
         std::optional<support::ThreadPool> pool;
         if (config.threads > 1)
           pool.emplace(static_cast<std::size_t>(config.threads));
@@ -545,13 +526,8 @@ RunResult run_distributed(const AppConfig& config,
           }
 
           // Application dynamics (collective; independent of LB decisions).
-          if (counter)
-            (void)domain.step_counter(dynamics_seed, iter,
-                                      pool ? &*pool : nullptr);
-          else if (pool)
-            (void)domain.step(dynamics_rng, *pool);
-          else
-            (void)domain.step(dynamics_rng);
+          (void)domain.step_counter(dynamics_seed, iter,
+                                    pool ? &*pool : nullptr);
 
           // The trigger decides at the main rank; the verdict is broadcast
           // so every rank enters (or skips) the LB collectives in lockstep.
@@ -692,13 +668,8 @@ void AppConfig::validate() const {
   ULBA_REQUIRE(lb_phase >= 0 && lb_phase < lb_period,
                "LB phase must lie in [0, lb_period)");
   ULBA_REQUIRE(threads >= 1, "need at least one stepping thread");
-  ULBA_REQUIRE(shards >= 1 && shards <= pe_count,
-               "shard count must lie in [1, pe_count]");
   ULBA_REQUIRE(ranks >= 1 && ranks <= pe_count,
                "rank count must lie in [1, pe_count]");
-  ULBA_REQUIRE(ranks == 1 || shards == 1,
-               "distributed stepping (ranks > 1) and in-process sharding "
-               "(shards > 1) are mutually exclusive");
   ULBA_REQUIRE(!measure_time || ranks > 1,
                "measured-time mode runs on the SPMD runtime (ranks > 1)");
   ULBA_REQUIRE(ns_scale > 0.0 && migration_scale >= 0.0,
@@ -779,72 +750,23 @@ RunResult ErosionApp::run() const {
   // bit-identical by construction — see run_distributed/LbController.
   if (config_.ranks > 1) return run_distributed(config_, make_domain());
 
-  // Independent streams: the dynamics stream must not depend on LB decisions
-  // so both methods see identical erosion for one seed. The counter kind
-  // keys off the same forked sub-seed (its draws are position-addressed, so
-  // the seed is all it consumes from the stream machinery).
-  support::Rng dynamics_rng = support::Rng(config_.seed).fork(1);
-  const std::uint64_t dynamics_seed = dynamics_rng.seed();
-  const bool counter = config_.rng_kind == RngKind::kCounter;
+  // The dynamics key: a forked sub-seed, independent of every LB decision,
+  // so both methods see identical erosion for one seed.
+  const std::uint64_t dynamics_seed = support::Rng(config_.seed).fork(1).seed();
 
-  // One partitioner serves both the centralized LB technique's cuts and the
-  // host-side disc-to-shard assignment of the sharded stepper.
-  const std::shared_ptr<const lb::Partitioner> partitioner(
-      lb::make_partitioner(config_.partitioner));
-  // shards == 1 keeps the historical unsharded paths (and their RNG
-  // trajectories); shards > 1 steps through ShardedDomain, whose trajectory
-  // is bit-identical to the serial shared-stream stepper regardless of the
-  // shard/thread counts.
-  std::optional<ErosionDomain> plain;
-  std::optional<ShardedDomain> sharded;
-  if (config_.shards > 1)
-    sharded.emplace(make_domain(), config_.shards, partitioner);
-  else
-    plain.emplace(make_domain());
-  const ErosionDomain& domain = sharded ? sharded->domain() : *plain;
-
-  LbController ctl(config_, partitioner, domain.columns());
-
-  // Dynamics stepping: serial shared-stream below 2 threads, per-disc
-  // substreams on a pool otherwise (see AppConfig::threads).
+  ErosionDomain domain(make_domain());
+  LbController ctl(config_, lb::make_partitioner(config_.partitioner),
+                   domain.columns());
   std::optional<support::ThreadPool> pool;
   if (config_.threads > 1)
     pool.emplace(static_cast<std::size_t>(config_.threads));
 
   for (std::int64_t iter = 0; iter < config_.iterations; ++iter) {
     ctl.observe(iter, domain.column_weights());
-
-    // --- application dynamics (independent of every LB decision)
-    if (counter) {
-      support::ThreadPool* p = pool ? &*pool : nullptr;
-      if (sharded)
-        sharded->step_counter(dynamics_seed, iter, p);
-      else
-        plain->step_counter(dynamics_seed, iter, p);
-    } else if (sharded) {
-      if (pool)
-        sharded->step(dynamics_rng, *pool);
-      else
-        sharded->step(dynamics_rng);
-    } else if (pool) {
-      plain->step(dynamics_rng, *pool);
-    } else {
-      plain->step(dynamics_rng);
-    }
-
-    if (ctl.should_balance(iter, domain.total_workload())) {
+    (void)domain.step_counter(dynamics_seed, iter, pool ? &*pool : nullptr);
+    if (ctl.should_balance(iter, domain.total_workload()))
       ctl.balance(iter, domain.column_weights(), domain.column_bytes(),
                   domain.total_workload());
-      if (sharded) {
-        // Re-shard the host-side stepping against the freshly balanced
-        // weights — the boundary workload deltas move with the LB step. The
-        // trajectory is shard-invariant, so this only affects host
-        // parallelism and the reported migration accounting.
-        const ReshardResult reshard = sharded->rebalance();
-        ctl.result().shard_discs_moved += reshard.discs_moved;
-        ctl.result().shard_migration_bytes += reshard.migration.total_bytes;
-      }
-    }
     ctl.end_iteration();
   }
 

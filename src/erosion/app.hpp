@@ -57,25 +57,6 @@ enum class AlphaPolicy {
 [[nodiscard]] AlphaPolicy alpha_policy_from_name(const std::string& name);
 [[nodiscard]] std::string alpha_policy_name(AlphaPolicy policy);
 
-/// Which random-number discipline steps the erosion dynamics. The two kinds
-/// are DIFFERENT (equally deterministic, equally golden-locked) streams —
-/// a run's trajectory is comparable only within one kind.
-enum class RngKind {
-  /// Sequential mt19937_64 streams split by fork-in-disc-order — the
-  /// historical trajectories (shared stream at threads == 1, per-disc
-  /// substreams above; sharded/distributed reproduce the shared stream).
-  kFork,
-  /// Counter-based Philox draws addressed by (disc, iteration, cell)
-  /// through support::CounterRng: decide AND commit run fully parallel, and
-  /// ONE trajectory serves every (threads × shards × ranks) combination.
-  kCounter,
-};
-
-/// Parse "fork" | "counter" (the `--rng` vocabulary); throws
-/// std::invalid_argument on anything else.
-[[nodiscard]] RngKind rng_kind_from_name(const std::string& name);
-[[nodiscard]] std::string rng_kind_name(RngKind kind);
-
 /// When to invoke the load balancer (the ablation knob of E-X2; the paper
 /// always uses the adaptive trigger).
 enum class TriggerMode {
@@ -87,7 +68,7 @@ enum class TriggerMode {
 /// Which clock feeds the LB trigger (the measured-signal control loop).
 enum class TriggerSource {
   /// Verdicts from the virtual-time LbController — the historical contract:
-  /// bit-identical RunResult across threads/shards/ranks/mt.
+  /// bit-identical RunResult across threads/ranks/mt.
   kModel,
   /// Verdicts from real steady_clock signals gathered on the SPMD runtime
   /// (requires ranks > 1 with measure_time): the per-iteration burn maxima
@@ -144,12 +125,10 @@ struct AppConfig {
   bool oracle_wir = false;
   bsp::CommModel comm{};
   std::uint64_t seed = 1;
-  /// Host threads stepping the erosion dynamics. 1 = the classic serial
-  /// stepper (one shared RNG stream, the historical trajectory). Any value
-  /// > 1 switches to per-disc RNG substreams stepped on a thread pool —
-  /// bit-identical across all thread counts > 1, but a different (equally
-  /// deterministic) trajectory than the serial stepper. The virtual-time
-  /// results are unaffected by the host's real scheduling either way.
+  /// Host threads stepping the erosion dynamics (per rank when ranks > 1).
+  /// 1 = inline serial stepping; any value > 1 runs the counter kernel on a
+  /// thread pool. The draws are addressed by (disc, iteration, cell), so the
+  /// trajectory is bit-identical for every thread count.
   std::int64_t threads = 1;
   /// Add Eq. (11)'s anticipated underloading overhead to the trigger
   /// threshold (ULBA only) — §III-C: "the load balancer is called every time
@@ -163,26 +142,17 @@ struct AppConfig {
   /// Cutting algorithm, by lb::make_partitioner name: "greedy" (the paper's
   /// §IV-B stripe technique), "rcb", "optimal" (E-X5), or "stripe" (even
   /// widths). Drives BOTH the centralized LB technique's cuts and — when
-  /// `shards` > 1 — the disc-to-shard assignment of the sharded stepper.
+  /// `ranks` > 1 — the rank-stripe (or tile) cuts of the distributed stepper.
   std::string partitioner = "greedy-scan";
-
-  /// Host-side shards stepping the erosion dynamics (erosion::ShardedDomain).
-  /// 1 = the unsharded classic paths (serial shared stream, or the per-disc
-  /// substream pool when `threads` > 1). K > 1 splits the discs across K
-  /// shards cut by `partitioner` and re-shards at every LB step; the
-  /// trajectory is bit-identical to the serial shared-stream stepper for
-  /// every (K, partitioner, threads) combination.
-  std::int64_t shards = 1;
 
   /// SPMD ranks stepping the erosion dynamics through the message-passing
   /// runtime (erosion::DistributedDomain): each rank owns a contiguous
   /// column stripe plus the discs centered in it — no shared state — and
   /// halo deltas, frontier metadata, and LB-step migrations travel as real
-  /// runtime::Mailbox messages. 1 = the in-process steppers (plain, pooled,
-  /// or sharded). The trajectory and the final report are bit-identical to
-  /// the serial shared-stream stepper for every (ranks, partitioner,
-  /// threads) combination; `threads` > 1 gives each rank its own stepping
-  /// pool. Mutually exclusive with `shards` > 1.
+  /// runtime::Mailbox messages. 1 = the in-process ErosionDomain. The
+  /// trajectory and the final report are bit-identical to the in-process
+  /// run for every (ranks, partitioner, threads) combination; `threads` > 1
+  /// gives each rank its own stepping pool.
   std::int64_t ranks = 1;
 
   /// Per-step exchange protocol of the distributed stepper, by
@@ -200,7 +170,7 @@ struct AppConfig {
   /// to edge AND corner neighbor tiles. The gathered monitoring weights of
   /// a grid run come from a rank-0 monitor fed by integer deltas, so the
   /// whole RunResult trajectory stays bit-identical to the serial run for
-  /// both RNG kinds and every grid shape.
+  /// every grid shape.
   std::string decomp = "stripes";
   /// Grid shape request (decomp == "grid"): 0 = derive that dimension
   /// (both 0 = near-square factorization of `ranks`). A non-factorable
@@ -256,14 +226,6 @@ struct AppConfig {
   /// also feeds the adaptive trigger's Eq. (11) overhead term, so trigger
   /// and LB step agree on the α about to be applied.
   AlphaPolicy alpha_policy = AlphaPolicy::kFixed;
-
-  /// RNG discipline of the erosion dynamics (see RngKind). kFork keeps the
-  /// historical golden trajectories; kCounter switches every stepper —
-  /// plain, pooled, sharded, distributed — onto the shared counter-kernel
-  /// fast path, whose single trajectory is invariant across ALL of
-  /// `threads`, `shards`, and `ranks`. The dynamics stay independent of LB
-  /// decisions in both kinds.
-  RngKind rng_kind = RngKind::kFork;
 
   void validate() const;
 
@@ -325,10 +287,6 @@ struct RunResult {
   /// to lb_iterations). config.alpha under AlphaPolicy::kFixed; what the
   /// policy chose otherwise. Always 0 under Method::kStandard.
   std::vector<double> lb_alphas;
-  /// Sharded stepping only (shards > 1): discs that changed shard across all
-  /// re-shard steps, and the summed migration volume those moves would cost.
-  std::int64_t shard_discs_moved = 0;
-  double shard_migration_bytes = 0.0;
   /// Distributed stepping only (ranks > 1): discs that changed rank across
   /// all rank-stripe recuts, the summed analytic migration volume of those
   /// recuts, and the real message payload bytes the migrations put on the

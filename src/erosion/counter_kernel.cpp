@@ -10,9 +10,12 @@ namespace ulba::erosion {
 
 namespace {
 
-/// Fluid faces a frontier cell presents to (lx, ly): outside fluid counts
-/// one trial, a refined neighbour two (its two finer cells both border the
-/// rock cell) — the same rule as decide_disc.
+/// Fluid faces a frontier cell presents to (lx, ly). "Each fluid cell
+/// computes a probabilistic erosion of neighboring rock cells": a rock cell
+/// takes one erosion trial per adjacent fluid face. A refined neighbour
+/// consists of four finer cells, two of which border the rock cell, so it
+/// counts two trials — the paper's "creating even more imbalance"
+/// acceleration.
 inline int fluid_faces(const DiscState& d, std::int64_t lx, std::int64_t ly) {
   switch (d.at(lx, ly)) {
     case Cell::kOutside:
@@ -78,8 +81,6 @@ void decide_range(std::span<const DiscState> discs,
     }
     const std::int32_t idx = ws.cells[j];
     const int trials = cell_trials(*d, idx);
-    if (trials == 0) continue;  // cannot happen for frontier cells, but
-                                // mirror decide_disc's guard
     const std::uint64_t draw =
         rng.draw(iteration, static_cast<std::uint64_t>(idx)) >> 11;
     if (draw < ws.thresh[k][static_cast<std::size_t>(trials)]) flags[j] = 1;
@@ -122,7 +123,6 @@ std::int64_t counter_decide_apply(std::span<DiscState> discs,
       const auto& thresh = ws.thresh[k];
       for (const std::int32_t idx : d.frontier) {
         const int trials = cell_trials(d, idx);
-        if (trials == 0) continue;
         const std::uint64_t draw =
             rng.draw(iter, static_cast<std::uint64_t>(idx)) >> 11;
         if (draw < thresh[static_cast<std::size_t>(trials)]) out.push_back(idx);
@@ -155,7 +155,7 @@ std::int64_t counter_decide_apply(std::span<DiscState> discs,
   });
 
   // Phase C — compact each disc's flagged cells (frontier order, matching
-  // decide_disc) and apply. Discs are pairwise disjoint, so one task per
+  // the serial path) and apply. Discs are pairwise disjoint, so one task per
   // disc is race-free.
   pool->parallel_for(n, [&](std::size_t k) {
     std::vector<std::int32_t>& out = ws.erode[k];

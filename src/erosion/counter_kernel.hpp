@@ -1,28 +1,25 @@
-// The counter-RNG erosion fast path — ONE decide+apply kernel shared by all
-// steppers (serial, pooled, sharded, distributed).
+// The erosion step kernel — ONE decide+apply pass shared by both steppers
+// (the in-process ErosionDomain, serial or pooled, and the distributed
+// DistributedDomain).
 //
-// The fork-RNG steppers are decide-parallel at best: the stream split, the
-// burn passes, and the commit all serialize in disc order because mt19937
-// draws only exist in sequence. With support::CounterRng every Bernoulli
-// draw is addressed by (disc, iteration, cell index) instead, so NOTHING in
-// the step depends on evaluation order:
+// Every Bernoulli draw is addressed by (disc, iteration, cell index) through
+// support::CounterRng, so NOTHING in the step depends on evaluation order:
 //
 //   A. flatten — the per-disc pre-step frontiers are copied into one
 //      contiguous SoA array (cell indices + per-disc offsets), and the
 //      per-disc trials -> threshold table ceil((1-(1-p)^trials) * 2^53) is
 //      precomputed once (trials <= 8): the per-cell decision collapses to
-//      `draw >> 11 < threshold`, eliminating both the pow() and the
-//      int -> double conversion the fork path pays per cell, while staying
-//      bit-equal to `uniform01(draw) < p_eff` (scaling by 2^53 is exact);
+//      `draw >> 11 < threshold`, with no pow() and no int -> double
+//      conversion per cell, while staying bit-equal to
+//      `uniform01(draw) < p_eff` (scaling by 2^53 is exact);
 //   B. decide — one batched pass over the flat array, chunked across the
 //      ThreadPool (contiguous ranges, NOT per-cell tasks: parallel_for
 //      claims indices under a mutex and is sized for coarse items). Each
 //      cell's draw is CounterRng(seed, disc_id).draw(iteration, cell), so
 //      any chunking yields identical flags;
 //   C. apply — per-disc compaction of the flagged cells (in frontier
-//      order, matching decide_disc's output order) + apply_disc, one task
-//      per disc across the pool. Disc state is disc-local, so discs are
-//      independent.
+//      order) + apply_disc, one task per disc across the pool. Disc state
+//      is disc-local, so discs are independent.
 //
 // Without a pool the flatten/compact round-trip is skipped entirely: the
 // serial path decides straight off each disc's frontier into ws.erode —
@@ -32,9 +29,8 @@
 // CounterWorkspace::erode. The commit is itself order-independent (every
 // eroded cell credits the same constant to a column accumulator — the same
 // property the distributed halo exchange relies on), so the whole step is
-// bit-identical for every thread count, shard count, and rank count by
-// construction. Locked by test_counter_rng and the counter sweeps of
-// test_sharded_erosion / test_distributed_erosion.
+// bit-identical for every thread count and rank count by construction.
+// Locked by test_counter_rng and the sweeps of test_distributed_erosion.
 #pragma once
 
 #include <array>
@@ -56,14 +52,14 @@ struct CounterWorkspace {
   std::vector<std::uint8_t> flags;    ///< 1 = cell erodes; parallel to cells
   /// Per disc: trials -> ceil(p_eff * 2^53), the integer Bernoulli gate.
   std::vector<std::array<std::uint64_t, 9>> thresh;
-  /// Per-disc eroded cells (frontier order — decide_disc's output order),
-  /// the caller's commit input. Entry k belongs to discs[k].
+  /// Per-disc eroded cells (frontier order), the caller's commit input.
+  /// Entry k belongs to discs[k].
   std::vector<std::vector<std::int32_t>> erode;
 };
 
 /// One counter-addressed decide+apply pass over `discs` at `iteration`.
 /// `disc_ids[k]` is the GLOBAL id of discs[k] — the RNG stream key — so a
-/// rank/shard stepping a subset produces exactly the draws the full-domain
+/// rank stepping a subset produces exactly the draws the full-domain
 /// stepper would. Pass pool == nullptr (or a pool of 1) for the inline
 /// serial path; results are bit-identical either way. Returns the number of
 /// cells eroded across `discs`; per-disc detail stays in ws.erode.

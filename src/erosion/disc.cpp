@@ -1,6 +1,5 @@
 #include "erosion/disc.hpp"
 
-#include <cmath>
 #include <cstring>
 
 #include "erosion/domain.hpp"
@@ -55,38 +54,6 @@ DiscState build_disc_state(const RockDisc& disc) {
     }
   }
   return d;
-}
-
-std::vector<std::int32_t> decide_disc(const DiscState& d, support::Rng& rng) {
-  // Decide against the pre-step state (synchronous CA semantics). "Each
-  // fluid cell computes a probabilistic erosion of neighboring rock cells":
-  // a rock cell takes one erosion trial per adjacent fluid face. A refined
-  // neighbour consists of four finer cells, two of which border this rock
-  // cell — refinement therefore doubles that face's trials, which is
-  // precisely the paper's "creating even more imbalance" acceleration.
-  std::vector<std::int32_t> to_erode;
-  if (d.frontier.empty()) return to_erode;
-  const auto fluid_faces = [&](std::int64_t lx, std::int64_t ly) -> int {
-    switch (d.at(lx, ly)) {
-      case Cell::kOutside:
-        return 1;
-      case Cell::kRefined:
-        return 2;
-      default:
-        return 0;
-    }
-  };
-  for (const std::int32_t idx : d.frontier) {
-    const std::int64_t lx = idx % d.side;
-    const std::int64_t ly = idx / d.side;
-    const int trials = fluid_faces(lx - 1, ly) + fluid_faces(lx + 1, ly) +
-                       fluid_faces(lx, ly - 1) + fluid_faces(lx, ly + 1);
-    if (trials == 0) continue;  // fully enclosed (cannot happen for
-                                // frontier cells, but cheap)
-    const double p_eff = 1.0 - std::pow(1.0 - d.erosion_prob, trials);
-    if (rng.bernoulli(p_eff)) to_erode.push_back(idx);
-  }
-  return to_erode;
 }
 
 void apply_disc(DiscState& d, const std::vector<std::int32_t>& to_erode) {

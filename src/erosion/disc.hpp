@@ -1,15 +1,12 @@
-// Disc-local erosion mechanics, factored out of ErosionDomain so every
-// stepper — the serial domain, the sharded in-process stepper, and the
-// SPMD-distributed stepper — drives ONE implementation of the cellular
-// automaton:
+// Disc-local erosion mechanics, factored out of ErosionDomain so both
+// steppers — the in-process domain and the SPMD-distributed stepper — drive
+// ONE implementation of the cellular automaton:
 //
 //   * build_disc_state  — rasterize a RockDisc into its bounding-box cell
 //                         grid and initial frontier;
-//   * decide_disc       — phase 1 of a step: pick the frontier cells that
-//                         erode, against the pre-step state (exactly one
-//                         Bernoulli draw per frontier cell — the invariant
-//                         every stream-splitting stepper is built on);
-//   * apply_disc        — phases 2+3, disc-local: flip cells to refined,
+//   * apply_disc        — the disc-local half of a step, after the counter
+//                         kernel (erosion/counter_kernel.hpp) decided which
+//                         frontier cells erode: flip cells to refined,
 //                         expose interior rock, compact the frontier;
 //   * serialize_disc /  — byte-exact migration format, so a disc can change
 //     deserialize_disc    owner as one real message between address spaces.
@@ -24,8 +21,6 @@
 #include <span>
 #include <utility>
 #include <vector>
-
-#include "support/rng.hpp"
 
 namespace ulba::erosion {
 
@@ -74,14 +69,7 @@ struct DiscState {
 [[nodiscard]] std::pair<std::int64_t, std::int64_t> disc_row_span(
     const RockDisc& disc);
 
-/// Phase 1 — decide which frontier cells erode, against the pre-step state.
-/// Consumes EXACTLY frontier.size() Bernoulli draws from `rng` (every
-/// frontier cell has at least one fluid face), independent of the outcomes —
-/// the invariant the sharded/distributed stream split relies on.
-[[nodiscard]] std::vector<std::int32_t> decide_disc(const DiscState& d,
-                                                    support::Rng& rng);
-
-/// Phases 2+3, disc-local — flip cells to refined, expose interior rock,
+/// Disc-local — flip cells to refined, expose interior rock,
 /// compact the frontier. Touches nothing outside `d`.
 void apply_disc(DiscState& d, const std::vector<std::int32_t>& to_erode);
 

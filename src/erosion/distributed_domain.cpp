@@ -130,8 +130,7 @@ void DistributedDomain::init_stripes() {
   std::vector<double> full, full_rows;
   replay_initial_weights(full, full_rows);
 
-  // Initial cut: even targets against the initial weights, exactly like the
-  // sharded stepper's construction.
+  // Initial cut: even targets against the initial weights.
   const std::vector<double> targets(static_cast<std::size_t>(R),
                                     1.0 / static_cast<double>(R));
   boundaries_ = partitioner_->partition(full, targets);
@@ -325,11 +324,6 @@ std::int64_t DistributedDomain::frontier_size() const noexcept {
   return total;
 }
 
-std::int64_t DistributedDomain::disc_frontier_size(std::size_t disc) const {
-  ULBA_REQUIRE(disc < frontier_sizes_.size(), "disc index out of range");
-  return frontier_sizes_[disc];
-}
-
 void DistributedDomain::credit_column(std::int64_t x, std::int64_t count) {
   const double gained = config_.refinement_factor * config_.flop_per_cell;
   const auto local = static_cast<std::size_t>(x - first_column());
@@ -340,46 +334,10 @@ void DistributedDomain::credit_column(std::int64_t x, std::int64_t count) {
   for (std::int64_t c = 0; c < count; ++c) weights_[local] += gained;
 }
 
-std::int64_t DistributedDomain::step(support::Rng& rng) {
-  support::ThreadPool serial(1);
-  return step(rng, serial);
-}
-
-std::int64_t DistributedDomain::step(support::Rng& rng,
-                                     support::ThreadPool& pool) {
-  const std::size_t n = config_.discs.size();
-  const int r = rank();
-
-  // Phase 1 — lockstep stream split: every rank advances its own copy of
-  // the master by Σ frontier_i burn draws (in disc order), snapshotting at
-  // its local discs' offsets. All copies stay bit-equal to the serial
-  // stepper's stream, so no RNG state ever needs to be communicated.
-  std::vector<support::Rng> streams;
-  streams.reserve(local_disc_ids_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (disc_owner_[i] == r) streams.push_back(rng);
-    for (std::int64_t d = 0; d < frontier_sizes_[i]; ++d)
-      (void)rng.bernoulli(0.5);
-  }
-
-  // Phase 2 — decide + apply the local discs (disc state is disc-local and
-  // every disc draws from its own positioned snapshot).
-  std::vector<std::vector<std::int32_t>> erode(local_discs_.size());
-  pool.parallel_for(local_discs_.size(), [&](std::size_t k) {
-    erode[k] = decide_disc(local_discs_[k], streams[k]);
-    apply_disc(local_discs_[k], erode[k]);
-  });
-
-  return finish_step(erode);
-}
-
 std::int64_t DistributedDomain::step_counter(std::uint64_t seed,
                                              std::int64_t iteration,
                                              support::ThreadPool* pool) {
-  // Phases 1+2 of the fork path collapse into one kernel call: draws are
-  // addressed by (global disc id, iteration, cell), so there is no master
-  // stream to position — no burn pass, no snapshots, no O(global frontier)
-  // work per rank. The exchange tail is shared with the fork path.
+  // Decide + apply the local discs; draws are addressed by global disc id.
   (void)counter_decide_apply(local_discs_, local_disc_ids_, seed, iteration,
                              pool, counter_ws_);
   return finish_step(counter_ws_.erode);
@@ -428,8 +386,8 @@ std::int64_t DistributedDomain::finish_step(
   std::int64_t global_eroded = my_eroded;
   if (exchange_ == ExchangeMode::kAllToAll) {
     // Phase 4 — one message per peer: my eroded total, the peer's halo
-    // deltas, and my discs' updated frontier sizes (the stream-split
-    // metadata every rank needs before the NEXT step).
+    // deltas, and my discs' updated frontier sizes (the replicated
+    // frontier metadata).
     for (int s = 0; s < R; ++s) {
       if (s == r) continue;
       std::vector<std::int64_t> msg;

@@ -1,33 +1,30 @@
 // Distributed erosion domain — the erosion workload over the SPMD
 // message-passing runtime, one instance per runtime::Comm rank.
 //
-// Where ShardedDomain splits discs across in-process shards that commit
-// through ONE shared per-column weight array, DistributedDomain owns no
-// shared state at all: each rank holds exactly the column weights of its
+// Unlike the in-process ErosionDomain, DistributedDomain owns no shared
+// state at all: each rank holds exactly the column weights of its
 // contiguous stripe plus the materialized DiscStates of the discs whose
 // centers fall in that stripe. Everything that crosses a stripe boundary is
 // a real runtime::Mailbox message:
 //
-//   * per step, each rank sends every peer the (column, eroded-cell-count)
+//   * per step, each rank sends its peers the (column, eroded-cell-count)
 //     deltas that land in the peer's stripe — the halo exchange a disc
 //     straddling a boundary requires — together with the updated frontier
-//     sizes of its own discs (the metadata the lockstep stream split needs)
-//     and its eroded-cell total;
+//     sizes of its own discs (the replicated frontier_size() observer) and
+//     its eroded-cell total;
 //   * per rebalance, the stripes are recut by any lb::Partitioner and both
 //     column weights and whole DiscStates change owner as serialized
 //     messages, with the analytic lb::migration_volume prediction validated
 //     against the columns that were actually exchanged.
 //
-// Determinism contract (the distributed extension of the sharded
-// partition-invariance property, locked by tests/test_distributed_erosion):
-// for EVERY (rank count, partitioner, per-rank thread count) the trajectory
-// and the final domain report are BIT-identical to the serial shared-stream
-// ErosionDomain::step(rng), including the master RNG's post-run state. The
-// same three disciplines as ShardedDomain make this possible, with one
-// twist: every rank advances its own lockstep COPY of the master stream by
-// the full Σ frontier_i draws (Bernoulli consumption is p-independent), so
-// the per-disc snapshots are positioned identically on every rank without
-// any stream ever crossing the wire.
+// Determinism contract (locked by tests/test_distributed_erosion): for
+// EVERY (rank count, partitioner, exchange mode, per-rank thread count) the
+// trajectory and the final domain report are BIT-identical to
+// ErosionDomain::step_counter on an undistributed copy. Two properties make
+// this hold by construction: every draw is addressed by (global disc id,
+// iteration, cell), so no RNG state exists to position or communicate; and
+// every eroded cell credits the same constant to its column, so halo
+// arrival order cannot perturb the floating-point weights.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +41,6 @@
 #include "lb/partitioners.hpp"
 #include "lb/stripe_partitioner.hpp"
 #include "runtime/comm.hpp"
-#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ulba::erosion {
@@ -82,7 +78,7 @@ enum class ExchangeMode {
 /// rank-0 monitor fed by integer eroded-cell deltas, folded one constant
 /// increment per cell — bit-identical to the serial incremental weights for
 /// ANY tile shape, which is what keeps the whole RunResult trajectory
-/// serial-identical in 2D for both RNG kinds. A 1-row grid with the tuner
+/// serial-identical in 2D. A 1-row grid with the tuner
 /// off is not merely equivalent to stripes: it runs the stripe code path,
 /// so "1xC == 1D stripes" holds by code identity.
 struct GridOptions {
@@ -142,8 +138,7 @@ class DistributedDomain {
  public:
   /// Collective: every rank of `comm` constructs with the same `config`, an
   /// equivalent `partitioner`, and the same `exchange` mode. The initial
-  /// stripes are cut against the initial column weights (even targets),
-  /// exactly like ShardedDomain.
+  /// stripes are cut against the initial column weights (even targets).
   DistributedDomain(DomainConfig config, runtime::Comm& comm,
                     std::shared_ptr<const lb::Partitioner> partitioner,
                     ExchangeMode exchange = ExchangeMode::kNeighbor);
@@ -157,24 +152,12 @@ class DistributedDomain {
                     std::shared_ptr<const lb::Partitioner> partitioner,
                     ExchangeMode exchange, const GridOptions& grid);
 
-  /// Collective: one erosion iteration (local discs stepped serially).
-  /// Returns the GLOBAL eroded-cell count — the value the serial
-  /// ErosionDomain::step(rng) returns.
-  std::int64_t step(support::Rng& rng);
-
-  /// Collective: one erosion iteration, local discs stepped across `pool`
-  /// (a rank-local pool). Bit-identical to the serial overload.
-  std::int64_t step(support::Rng& rng, support::ThreadPool& pool);
-
-  /// Collective: one erosion iteration on the counter-RNG fast path. Draws
-  /// are addressed by (global disc id, iteration, cell) through
-  /// support::CounterRng, so the lockstep burn pass of `step(rng)`
-  /// disappears entirely — no rank ever advances a master-stream copy, and
-  /// the per-step cost of a rank is O(its own frontier), not O(the global
-  /// frontier). Bit-identical to ErosionDomain::step_counter on an
-  /// undistributed copy for every (rank count, partitioner, exchange mode,
-  /// pool size) by construction; shares the halo/reduction exchange with
-  /// the fork path.
+  /// Collective: one erosion iteration, local discs stepped inline or
+  /// across `pool` (a rank-local pool). Draws are addressed by (global disc
+  /// id, iteration, cell) through support::CounterRng, so the per-step cost
+  /// of a rank is O(its own frontier). Returns the GLOBAL eroded-cell count
+  /// — the value ErosionDomain::step_counter on an undistributed copy
+  /// returns, for every (rank count, partitioner, exchange mode, pool size).
   std::int64_t step_counter(std::uint64_t seed, std::int64_t iteration,
                             support::ThreadPool* pool = nullptr);
 
@@ -290,9 +273,6 @@ class DistributedDomain {
     return rock_remaining_;
   }
   [[nodiscard]] std::int64_t frontier_size() const noexcept;
-  /// Current frontier size of any disc (replicated metadata — this is what
-  /// the lockstep stream split burns per disc).
-  [[nodiscard]] std::int64_t disc_frontier_size(std::size_t disc) const;
 
   [[nodiscard]] DistributedReport report() const noexcept {
     return {eroded_, rock_remaining_, frontier_size(), total_};
@@ -353,9 +333,9 @@ class DistributedDomain {
   void drain_pending_deltas() const;
   /// Grid-mode rebalance body (dispatched from rebalance(full)).
   DistributedReshardResult rebalance_grid(std::span<const double> full);
-  /// The stepper tail every RNG kind shares — commit my columns, bucket and
-  /// exchange halo deltas + frontier metadata + the eroded reduction, fold
-  /// the replicated global accounting. `erode[k]` holds the cells the k-th
+  /// The exchange tail of a step — commit my columns, bucket and exchange
+  /// halo deltas + frontier metadata + the eroded reduction, fold the
+  /// replicated global accounting. `erode[k]` holds the cells the k-th
   /// LOCAL disc eroded this step. Returns the global eroded count.
   std::int64_t finish_step(std::span<const std::vector<std::int32_t>> erode);
   /// Record one step()-phase send of `bytes` payload bytes.

@@ -61,42 +61,6 @@ void ErosionDomain::build_disc(const RockDisc& disc) {
   discs_.push_back(std::move(d));
 }
 
-std::int64_t ErosionDomain::step(support::Rng& rng) {
-  std::int64_t eroded = 0;
-  for (DiscState& d : discs_) {
-    const auto to_erode = decide_disc(d, rng);
-    apply_disc(d, to_erode);
-    eroded += commit_disc(d, to_erode);
-  }
-  eroded_ += eroded;
-  return eroded;
-}
-
-std::int64_t ErosionDomain::step(support::Rng& rng,
-                                 support::ThreadPool& pool) {
-  // Split per-disc substreams off the master stream, serially and in disc
-  // order, so the draw sequence is independent of how the pool schedules the
-  // disc tasks below.
-  std::vector<support::Rng> streams;
-  streams.reserve(discs_.size());
-  for (std::size_t i = 0; i < discs_.size(); ++i)
-    streams.emplace_back(support::Rng(rng()));
-
-  std::vector<std::vector<std::int32_t>> to_erode(discs_.size());
-  pool.parallel_for(discs_.size(), [&](std::size_t i) {
-    to_erode[i] = decide_disc(discs_[i], streams[i]);
-    apply_disc(discs_[i], to_erode[i]);
-  });
-
-  // Shared accounting (weights_, total_) commits serially in disc order so
-  // floating-point sums are bit-identical for every pool size.
-  std::int64_t eroded = 0;
-  for (std::size_t i = 0; i < discs_.size(); ++i)
-    eroded += commit_disc(discs_[i], to_erode[i]);
-  eroded_ += eroded;
-  return eroded;
-}
-
 std::int64_t ErosionDomain::step_counter(std::uint64_t seed,
                                          std::int64_t iteration,
                                          support::ThreadPool* pool) {
@@ -148,11 +112,6 @@ std::int64_t ErosionDomain::frontier_size() const noexcept {
 std::int64_t ErosionDomain::disc_rock_remaining(std::size_t disc) const {
   ULBA_REQUIRE(disc < discs_.size(), "disc index out of range");
   return discs_[disc].rock_remaining;
-}
-
-std::int64_t ErosionDomain::disc_frontier_size(std::size_t disc) const {
-  ULBA_REQUIRE(disc < discs_.size(), "disc index out of range");
-  return static_cast<std::int64_t>(discs_[disc].frontier.size());
 }
 
 }  // namespace ulba::erosion

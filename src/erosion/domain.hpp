@@ -22,7 +22,6 @@
 
 #include "erosion/counter_kernel.hpp"
 #include "erosion/disc.hpp"
-#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ulba::erosion {
@@ -57,30 +56,12 @@ class ErosionDomain {
 
   /// One erosion iteration (synchronous cellular-automaton update: all
   /// erosion decisions are taken against the pre-step state). Returns the
-  /// number of rock cells eroded. All discs draw from the one shared stream,
-  /// in disc order — the classic serial stepper.
-  std::int64_t step(support::Rng& rng);
-
-  /// One erosion iteration across a thread pool. Discs are pairwise disjoint
-  /// by construction (DomainConfig::validate), so each disc erodes
-  /// independently on its own RNG substream: the step first splits one
-  /// 64-bit draw per disc off the master stream (serially, in disc order),
-  /// then erodes discs concurrently, then commits the per-column workload
-  /// deltas serially in disc order. Results are therefore bit-identical for
-  /// every pool size — a pool of 1 IS the serial reference — but the
-  /// trajectory differs from the shared-stream `step(rng)` overload, which
-  /// interleaves all discs on one stream. The master `rng` advances by
-  /// exactly disc-count draws regardless of erosion outcomes.
-  std::int64_t step(support::Rng& rng, support::ThreadPool& pool);
-
-  /// One erosion iteration on the counter-RNG fast path: every Bernoulli
-  /// draw is addressed by (disc, iteration, cell) through support::CounterRng
-  /// keyed with `seed` (see erosion/counter_kernel.hpp), so decide AND apply
-  /// run fully parallel and the result is bit-identical for EVERY pool size
-  /// — nullptr and a pool of 1 are the serial reference. A different (equally
-  /// deterministic and equally locked) trajectory than both fork-RNG
-  /// `step(rng)` overloads; `iteration` must advance by one per call to
-  /// address fresh draws.
+  /// number of rock cells eroded. Every Bernoulli draw is addressed by
+  /// (disc, iteration, cell) through support::CounterRng keyed with `seed`
+  /// (see erosion/counter_kernel.hpp), so decide AND apply run fully
+  /// parallel and the result is bit-identical for EVERY pool size — nullptr
+  /// and a pool of 1 are the serial reference. `iteration` must advance by
+  /// one per call to address fresh draws.
   std::int64_t step_counter(std::uint64_t seed, std::int64_t iteration,
                             support::ThreadPool* pool = nullptr);
 
@@ -102,29 +83,12 @@ class ErosionDomain {
   [[nodiscard]] std::int64_t frontier_size() const noexcept;
   [[nodiscard]] std::int64_t disc_rock_remaining(std::size_t disc) const;
 
-  [[nodiscard]] std::size_t disc_count() const noexcept {
-    return discs_.size();
-  }
-  /// Current frontier size of one disc. This is also EXACTLY the number of
-  /// RNG draws `step(rng)` spends on the disc (every frontier cell has at
-  /// least one fluid face, so the `trials == 0` skip never fires) — the
-  /// invariant ShardedDomain's stream-splitting discipline is built on, and
-  /// that the sharded property suite locks down.
-  [[nodiscard]] std::int64_t disc_frontier_size(std::size_t disc) const;
-
  private:
-  // ShardedDomain drives the decide/apply/commit phases across shards while
-  // preserving this class's serial trajectory; it is the one external user of
-  // the disc states and the commit phase. (The disc mechanics themselves —
-  // DiscState, build/decide/apply — live in erosion/disc.hpp so the
-  // SPMD-distributed stepper shares them without holding a full domain.)
-  friend class ShardedDomain;
-
   /// Rasterize one disc (erosion/disc.hpp) and fold its rock footprint into
   /// the per-column workload baseline.
   void build_disc(const RockDisc& disc);
-  /// Commit a disc's erosion to the shared per-column workload accounting.
-  /// Must run serially, in disc order, for deterministic FP summation.
+  /// Commit a disc's erosion to the per-column workload accounting (one
+  /// constant increment per eroded cell, so the order cannot matter).
   std::int64_t commit_disc(const DiscState& d,
                            const std::vector<std::int32_t>& to_erode);
 
@@ -134,7 +98,7 @@ class ErosionDomain {
   double total_ = 0.0;
   std::int64_t rock_remaining_ = 0;
   std::int64_t eroded_ = 0;
-  // step_counter's reusable buffers: [0, disc_count) ids + flat SoA arrays.
+  // step_counter's reusable buffers: disc ids 0..n-1 + flat SoA arrays.
   std::vector<std::size_t> counter_ids_;
   CounterWorkspace counter_ws_;
 };

@@ -84,7 +84,7 @@ class OptimalRatioPartitioner final : public Partitioner {
 
 /// Weight- and target-agnostic even column widths (`even_partition`) behind
 /// the Partitioner interface, so "no load balancing at all" plugs into every
-/// sweep/shard site that takes a pluggable partitioner.
+/// sweep/stripe site that takes a pluggable partitioner.
 class EvenStripePartitioner final : public Partitioner {
  public:
   [[nodiscard]] StripeBoundaries partition(

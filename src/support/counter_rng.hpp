@@ -1,18 +1,16 @@
 // Counter-based random numbers — draws addressable by position.
 //
 // `Rng` (rng.hpp) is a sequential engine: the value of draw #k depends on
-// having advanced through draws #0..k-1, so every stepper that wants
-// bit-identical results across thread/shard/rank counts must reproduce the
-// serial draw ORDER (the fork-in-disc-order discipline of ShardedDomain /
-// DistributedDomain, with its burn passes and positioned snapshots).
+// having advanced through draws #0..k-1, so a parallel consumer would have
+// to reproduce the serial draw ORDER to stay bit-identical.
 //
 // `CounterRng` removes the order dependence entirely: it is a keyed pure
 // function from a 128-bit counter to random bits (Philox4x32-10, Salmon et
 // al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11). The erosion
 // steppers key one instance per (seed, disc) and address each Bernoulli
 // draw by (iteration, cell index) — any thread may evaluate any draw at any
-// time and always gets the same value, so bit-identity across 1..N threads,
-// shards, and ranks holds by construction instead of by serialization.
+// time and always gets the same value, so bit-identity across 1..N threads
+// and ranks holds by construction instead of by serialization.
 //
 // Everything here is branch-free integer arithmetic (two 32x32->64
 // multiplies per round, ten rounds), inline in the header: a draw sits on
@@ -32,7 +30,7 @@ class CounterRng {
  public:
   /// Derive the key from (seed, stream) with the SplitMix64 finalizer — the
   /// same recipe Rng::fork uses to split mt19937 seeds, so per-disc streams
-  /// are decorrelated the same way in both RNG kinds.
+  /// are decorrelated the same way as forked sequential streams.
   constexpr CounterRng(std::uint64_t seed, std::uint64_t stream) noexcept {
     std::uint64_t z = seed + 0x9E3779B97F4A7C15ull * (stream + 1);
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;

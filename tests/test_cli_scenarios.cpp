@@ -3,8 +3,8 @@
 // Every scenario is driven through cli::run with a pinned seed and a small,
 // fast configuration; the full report text is compared byte-for-byte against
 // tests/golden/<name>.txt. The virtual-time machine makes every subcommand
-// deterministic (only `erosion --mt` measures wall clock, and is therefore
-// exercised structurally, not golden-matched).
+// deterministic (only `erosion --ranks R --mt` measures wall clock, and is
+// therefore exercised structurally, not golden-matched).
 //
 // Regenerate the golden files after an intentional output change with
 //   ULBA_UPDATE_GOLDEN=1 ctest -R test_cli_scenarios
@@ -72,68 +72,16 @@ TEST(CliGolden, Erosion) {
                   "16", "--seed", "3"});
 }
 
-TEST(CliGolden, ErosionThreaded) {
-  // The --threads path commits per-disc substreams serially, so its virtual-
-  // time report is a stable golden too (and identical for every N > 1).
-  expect_matches_golden(
-      "erosion_threads", {"erosion", "--pes", "16", "--iterations", "60",
-                          "--columns-per-pe", "48", "--rows", "64",
-                          "--rock-radius", "16", "--seed", "3", "--threads",
-                          "4"});
-  const auto base = [](const char* threads) {
-    return std::vector<std::string>{
-        "erosion", "--pes", "16", "--iterations", "60", "--columns-per-pe",
-        "48", "--rows", "64", "--rock-radius", "16", "--seed", "3",
-        "--threads", threads};
-  };
-  EXPECT_EQ(run_cli(base("2")), run_cli(base("2")));
-  // Thread count is not echoed per se — but the virtual-time numbers must
-  // be identical across pool sizes; normalize the one line that names it.
-  auto normalize = [](std::string s) {
-    const auto pos = s.find(" stepping thread(s)");
-    if (pos != std::string::npos) {
-      const auto comma = s.rfind(", ", pos);
-      s.erase(comma, pos - comma);
-    }
-    return s;
-  };
-  EXPECT_EQ(normalize(run_cli(base("2"))), normalize(run_cli(base("8"))));
-}
-
-TEST(CliGolden, ErosionSharded) {
-  // The sharded stepper: 4 shards cut by RCB on a 2-thread pool. The
-  // virtual-time numbers are bit-identical to the unsharded serial run (see
-  // ShardedReportMatchesSerialReport below); the golden additionally pins
-  // the sharding header and the re-shard accounting.
-  expect_matches_golden(
-      "erosion_sharded",
-      {"erosion", "--pes", "16", "--iterations", "60", "--columns-per-pe",
-       "48", "--rows", "64", "--rock-radius", "16", "--seed", "3", "--shards",
-       "4", "--partitioner", "rcb", "--threads", "2"});
-}
-
 TEST(CliGolden, ErosionDistributed) {
   // The SPMD-distributed stepper: 4 ranks, each with a 2-thread pool. The
-  // virtual-time numbers are bit-identical to the unsharded serial run (see
-  // DistributedReportMatchesSerialReport below); the golden additionally
+  // virtual-time numbers are bit-identical to the serial run (see
+  // ReportInvariantAcrossThreadsAndRanks below); the golden additionally
   // pins the distributed header and the rank-migration accounting.
   expect_matches_golden(
       "erosion_distributed",
       {"erosion", "--pes", "16", "--iterations", "60", "--columns-per-pe",
        "48", "--rows", "64", "--rock-radius", "16", "--seed", "3", "--ranks",
        "4", "--threads", "2"});
-}
-
-TEST(CliGolden, ErosionCounter) {
-  // The counter-RNG fast path (--rng counter): a DIFFERENT golden trajectory
-  // than the fork goldens above — position-addressed Philox draws — and THE
-  // one trajectory every threads/shards/ranks combination must reproduce
-  // (see CounterReportInvariantAcrossSteppers below).
-  expect_matches_golden(
-      "erosion_counter", {"erosion", "--pes", "16", "--iterations", "60",
-                          "--columns-per-pe", "48", "--rows", "64",
-                          "--rock-radius", "16", "--seed", "3", "--rng",
-                          "counter"});
 }
 
 TEST(CliGolden, IntervalQuality) {
@@ -174,85 +122,22 @@ TEST(CliGolden, Instances) {
 }
 
 // ---------------------------------------------------------------------------
-// Partition invariance at the report level: the sharded run's report equals
-// the serial run's, modulo the sharding-specific lines
+// One trajectory at the report level: the pooled and distributed runs'
+// reports equal the serial run's, modulo the substrate-specific header and
+// accounting lines — the app-level face of the determinism contract
+// (`test_distributed_erosion` locks the RunResult itself).
 // ---------------------------------------------------------------------------
-TEST(CliScenarios, ShardedReportMatchesSerialReport) {
+TEST(CliScenarios, ReportInvariantAcrossThreadsAndRanks) {
   const std::vector<std::string> base{
       "erosion", "--pes",        "16", "--iterations", "60",
       "--columns-per-pe", "48",  "--rows", "64", "--rock-radius", "16",
       "--seed", "3"};
-  const std::string serial = run_cli(base);
-  for (const char* shards : {"2", "4", "8"}) {
-    std::vector<std::string> args = base;
-    args.insert(args.end(), {"--shards", shards});
-    const std::string sharded = run_cli(args);
-    // Strip the sharding header and the re-shard accounting block — every
-    // remaining byte (all the virtual-time numbers) must match the serial
-    // report exactly.
-    const auto strip = [](const std::string& text) {
-      std::istringstream in(text);
-      std::string line, out;
-      while (std::getline(in, line)) {
-        if (line.find("sharded stepping") != std::string::npos ||
-            line.find("re-sharding") != std::string::npos ||
-            line.find("disc move(s)") != std::string::npos || line.empty())
-          continue;
-        out += line + "\n";
-      }
-      return out;
-    };
-    EXPECT_EQ(strip(serial), strip(sharded)) << "--shards " << shards;
-  }
-}
-
-// The distributed run's report equals the serial run's, modulo the
-// distributed-specific lines — the app-level face of the determinism
-// contract (`test_distributed_erosion` locks the RunResult itself).
-TEST(CliScenarios, DistributedReportMatchesSerialReport) {
-  const std::vector<std::string> base{
-      "erosion", "--pes",        "16", "--iterations", "60",
-      "--columns-per-pe", "48",  "--rows", "64", "--rock-radius", "16",
-      "--seed", "3"};
-  const std::string serial = run_cli(base);
-  for (const char* ranks : {"2", "4", "8"}) {
-    std::vector<std::string> args = base;
-    args.insert(args.end(), {"--ranks", ranks});
-    const std::string distributed = run_cli(args);
-    const auto strip = [](const std::string& text) {
-      std::istringstream in(text);
-      std::string line, out;
-      while (std::getline(in, line)) {
-        if (line.find("distributed stepping") != std::string::npos ||
-            line.find("rank migration") != std::string::npos ||
-            line.find("disc move(s)") != std::string::npos ||
-            line.find("per-step exchange") != std::string::npos ||
-            line.find(" messages, ") != std::string::npos || line.empty())
-          continue;
-        out += line + "\n";
-      }
-      return out;
-    };
-    EXPECT_EQ(strip(serial), strip(distributed)) << "--ranks " << ranks;
-  }
-}
-
-// The counter kind's report is invariant across EVERY stepping substrate —
-// threads, shards, ranks — modulo the substrate-specific header/accounting
-// lines, and differs from the fork kind's report for the same seed.
-TEST(CliScenarios, CounterReportInvariantAcrossSteppers) {
-  const std::vector<std::string> base{
-      "erosion", "--pes",        "16", "--iterations", "60",
-      "--columns-per-pe", "48",  "--rows", "64", "--rock-radius", "16",
-      "--seed", "3", "--rng", "counter"};
   const auto strip = [](const std::string& text) {
     std::istringstream in(text);
     std::string line, out;
     while (std::getline(in, line)) {
       if (line.find("stepping thread(s)") != std::string::npos ||
-          line.find("sharded stepping") != std::string::npos ||
           line.find("distributed stepping") != std::string::npos ||
-          line.find("re-sharding") != std::string::npos ||
           line.find("rank migration") != std::string::npos ||
           line.find("disc move(s)") != std::string::npos ||
           line.find("per-step exchange") != std::string::npos ||
@@ -269,16 +154,10 @@ TEST(CliScenarios, CounterReportInvariantAcrossSteppers) {
     return strip(run_cli(args));
   };
   EXPECT_EQ(serial, with({"--threads", "4"})) << "--threads 4";
-  EXPECT_EQ(serial, with({"--shards", "4", "--threads", "2"})) << "--shards";
-  EXPECT_EQ(serial, with({"--ranks", "4", "--threads", "2"})) << "--ranks";
+  EXPECT_EQ(serial, with({"--ranks", "2"})) << "--ranks 2";
+  EXPECT_EQ(serial, with({"--ranks", "4", "--threads", "2"})) << "--ranks 4";
   EXPECT_EQ(serial, with({"--ranks", "8", "--exchange", "alltoall"}))
       << "--ranks 8 alltoall";
-
-  // Same seed, fork kind: a different trajectory (and no counter header).
-  std::vector<std::string> fork_args(base.begin(), base.end() - 2);
-  EXPECT_NE(serial, strip(run_cli(fork_args)));
-  EXPECT_EQ(run_cli(fork_args).find("counter-based RNG"), std::string::npos)
-      << "the fork report must not carry the counter header";
 }
 
 // ---------------------------------------------------------------------------
@@ -334,17 +213,15 @@ TEST(CliScenarios, InstancesRejectsBadFlags) {
   EXPECT_THROW(run({"instances", "--samples"}, out), std::invalid_argument);
 }
 
-TEST(CliScenarios, ThreadsFlagIsValidatedAndExclusiveWithMt) {
+TEST(CliScenarios, ThreadsFlagIsValidated) {
   std::ostringstream out;
   EXPECT_THROW(run({"erosion", "--threads", "0"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"erosion", "--mt", "--threads", "2"}, out),
                std::invalid_argument);
   EXPECT_THROW(run({"quickstart", "--threads", "-3"}, out),
                std::invalid_argument);
 }
 
-TEST(CliScenarios, ShardsAndPartitionerFlagsAreValidated) {
+TEST(CliScenarios, PartitionerFlagIsValidated) {
   std::ostringstream out;
   // Invalid partitioner names are rejected up front, on every subcommand
   // that takes the flag.
@@ -352,34 +229,15 @@ TEST(CliScenarios, ShardsAndPartitionerFlagsAreValidated) {
                std::invalid_argument);
   EXPECT_THROW(run({"quickstart", "--partitioner", "frobnicate"}, out),
                std::invalid_argument);
-  // Shard counts outside [1, 64] (and beyond the PE count) are rejected.
-  EXPECT_THROW(run({"erosion", "--shards", "0"}, out), std::invalid_argument);
-  EXPECT_THROW(run({"erosion", "--shards", "65"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"erosion", "--pes", "8", "--shards", "16"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"quickstart", "--shards", "-1"}, out),
-               std::invalid_argument);
-  // The sharded stepper drives the virtual-time path only.
-  EXPECT_THROW(run({"erosion", "--mt", "--shards", "2"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"erosion", "--mt", "--partitioner", "rcb"}, out),
-               std::invalid_argument);
 }
 
-TEST(CliScenarios, RanksFlagIsValidatedAndExclusive) {
+TEST(CliScenarios, RanksFlagIsValidated) {
   std::ostringstream out;
   EXPECT_THROW(run({"erosion", "--ranks", "0"}, out), std::invalid_argument);
   EXPECT_THROW(run({"erosion", "--ranks", "65"}, out),
                std::invalid_argument);
   // AppConfig::validate: ranks must not exceed the PE count.
   EXPECT_THROW(run({"erosion", "--pes", "8", "--ranks", "16"}, out),
-               std::invalid_argument);
-  // The distributed stepper is exclusive with --shards (but composes with
-  // --mt: that combination is the measured-time distributed mode).
-  EXPECT_THROW(run({"erosion", "--shards", "2", "--ranks", "2"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"erosion", "--mt", "--shards", "2", "--ranks", "2"}, out),
                std::invalid_argument);
   // The measured-time knobs require --mt; the exchange knob requires the
   // distributed stepper; bad exchange names are rejected up front.
@@ -396,25 +254,33 @@ TEST(CliScenarios, RanksFlagIsValidatedAndExclusive) {
                std::invalid_argument);
   EXPECT_THROW(run({"quickstart", "--ranks", "-1"}, out),
                std::invalid_argument);
-  EXPECT_THROW(run({"quickstart", "--shards", "2", "--ranks", "2"}, out),
-               std::invalid_argument);
 }
 
-TEST(CliScenarios, RngFlagIsValidatedAndExclusiveWithLegacyMt) {
+TEST(CliScenarios, RetiredFlagsAndBareMtAreRejected) {
   std::ostringstream out;
-  // Unknown kinds are rejected up front (rng_kind_from_name throws).
-  EXPECT_THROW(run({"erosion", "--rng", "philox"}, out),
+  // One RNG kind and one in-process stepper: --rng and --shards are not
+  // flags (exit 2 at the binary).
+  EXPECT_THROW(run({"erosion", "--rng", "counter"}, out),
                std::invalid_argument);
-  EXPECT_THROW(run({"erosion", "--rng", ""}, out), std::invalid_argument);
-  // The legacy --mt thread app has its own stepper — no --rng there...
-  EXPECT_THROW(run({"erosion", "--mt", "--rng", "counter"}, out),
+  EXPECT_THROW(run({"erosion", "--rng", "fork"}, out), std::invalid_argument);
+  EXPECT_THROW(run({"erosion", "--shards", "2"}, out), std::invalid_argument);
+  EXPECT_THROW(run({"quickstart", "--shards", "2"}, out),
                std::invalid_argument);
-  EXPECT_THROW(run({"erosion", "--mt", "--rng", "fork"}, out),
+  // Wall clock comes from the SPMD runtime only: --mt needs --ranks, and
+  // the rejection names the replacement.
+  EXPECT_THROW(run({"erosion", "--mt", "--pes", "8"}, out),
                std::invalid_argument);
-  // ...but the measured-time distributed mode keeps the full knob set.
-  EXPECT_EQ(run({"erosion", "--mt", "--ranks", "2", "--rng", "counter",
-                 "--pes", "8", "--iterations", "4", "--columns-per-pe", "24",
-                 "--rows", "32", "--rock-radius", "8"},
+  try {
+    (void)run({"erosion", "--mt"}, out);
+    ADD_FAILURE() << "a bare --mt must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--ranks R --mt"), std::string::npos)
+        << e.what();
+  }
+  // The measured-time distributed mode runs end to end.
+  EXPECT_EQ(run({"erosion", "--mt", "--ranks", "2", "--pes", "8",
+                 "--iterations", "4", "--columns-per-pe", "24", "--rows",
+                 "32", "--rock-radius", "8"},
                 out),
             0);
 }
@@ -427,8 +293,7 @@ TEST(CliScenarios, TriggerSourceFlagsAreValidated) {
   EXPECT_THROW(run({"erosion", "--trigger-criterion", "entropy"}, out),
                std::invalid_argument);
   // The measured source needs the measured-time distributed mode: plain
-  // virtual-time runs and the legacy --mt thread app (no --ranks) have no
-  // steady_clock track to trigger on.
+  // virtual-time runs have no steady_clock track to trigger on.
   EXPECT_THROW(run({"erosion", "--trigger-source", "measured"}, out),
                std::invalid_argument);
   EXPECT_THROW(run({"erosion", "--mt", "--trigger-source", "measured"}, out),

@@ -10,9 +10,7 @@
 //      other draws are taken at all.
 //   3. erosion::counter_decide_apply produces bit-identical domains for
 //      every pool size and for every partition of the disc set — the
-//      property the app-level threads/shards/ranks invariance rests on —
-//      while diverging from the fork-path trajectory (the two RNG kinds are
-//      different, deliberately).
+//      property the app-level threads/ranks invariance rests on.
 #include "support/counter_rng.hpp"
 
 #include <gtest/gtest.h>
@@ -52,7 +50,7 @@ TEST(CounterRng, PhiloxKnownAnswers) {
 
 TEST(CounterRng, KeyDerivationMatchesRngFork) {
   // Both stream-splitting facilities must keep using the same SplitMix64
-  // recipe, so per-disc streams are decorrelated identically in both kinds.
+  // recipe, so per-disc streams are decorrelated like forked streams.
   for (const std::uint64_t seed : {0ull, 11ull, 0xdeadbeefcafeull}) {
     for (const std::uint64_t stream : {0ull, 1ull, 57ull}) {
       const std::uint64_t forked = Rng(seed).fork(stream).seed();
@@ -158,6 +156,12 @@ TEST(CounterKernel, BitIdenticalForEveryPoolSize) {
     const DomainConfig cfg = testing::random_domain_config(config_rng);
     const std::uint64_t seed = 60 + static_cast<std::uint64_t>(trial);
     const CounterSnapshot ref = counter_snapshot(cfg, seed, kSteps, nullptr);
+    // The incremental accounting stays consistent with itself.
+    const double sum =
+        std::accumulate(ref.weights.begin(), ref.weights.end(), 0.0);
+    EXPECT_NEAR(sum, ref.total, 1e-9 * ref.total);
+    EXPECT_EQ(ref.rock_remaining + ref.eroded,
+              ErosionDomain(cfg).rock_cells_remaining());
     for (const std::size_t threads : {1u, 2u, 5u, 8u}) {
       support::ThreadPool pool(threads);
       const CounterSnapshot got = counter_snapshot(cfg, seed, kSteps, &pool);
@@ -169,11 +173,11 @@ TEST(CounterKernel, BitIdenticalForEveryPoolSize) {
 }
 
 TEST(CounterKernel, SubsetPartitioningCannotChangeTheDraws) {
-  // Stepping disc subsets through separate kernel calls (a shard's or
-  // rank's view of the domain) must reproduce the full-set pass exactly:
+  // Stepping disc subsets through separate kernel calls (a rank's view of
+  // the domain) must reproduce the full-set pass exactly:
   // the draw at (disc, iteration, cell) does not know which call evaluated
   // it, as long as the GLOBAL disc ids are passed through. This is the
-  // micro-version of the ranks/shards invariance.
+  // micro-version of the ranks invariance.
   support::Rng config_rng(1618);
   const DomainConfig cfg = testing::random_domain_config(config_rng);
   const std::uint64_t seed = 123;
@@ -211,38 +215,6 @@ TEST(CounterKernel, SubsetPartitioningCannotChangeTheDraws) {
     EXPECT_EQ(whole[k].frontier, split[k].frontier) << "disc " << k;
     ASSERT_EQ(whole[k].cells, split[k].cells) << "disc " << k;
   }
-}
-
-TEST(CounterKernel, CounterAndForkTrajectoriesDiverge) {
-  // The counter kind is a DIFFERENT stream, not a reimplementation of the
-  // fork stream: same seed, same domain, different trajectories. (If these
-  // ever coincided, one of the two golden sets would be redundant — and a
-  // kernel bug silently replaying fork draws would go unnoticed.)
-  // A fixed moderate probability: a random config can draw erosion_prob
-  // near 1, where both kinds erode everything and legitimately coincide.
-  DomainConfig cfg;
-  cfg.rows = 64;
-  cfg.columns = 96;
-  cfg.discs = {RockDisc{32, 32, 12, 0.15}, RockDisc{64, 28, 10, 0.15}};
-  cfg.validate();
-  const std::uint64_t seed = 4;
-  constexpr int kSteps = 12;
-
-  ErosionDomain fork_domain(cfg);
-  support::Rng rng(seed);
-  for (int s = 0; s < kSteps; ++s) (void)fork_domain.step(rng);
-
-  ErosionDomain counter_domain(cfg);
-  for (int s = 0; s < kSteps; ++s) (void)counter_domain.step_counter(seed, s);
-
-  // Total eroded counts can coincide by chance; the per-column weight
-  // profile cannot (it pins down WHICH cells went).
-  const std::span<const double> fw = fork_domain.column_weights();
-  const std::span<const double> cw = counter_domain.column_weights();
-  ASSERT_EQ(fw.size(), cw.size());
-  EXPECT_FALSE(std::equal(fw.begin(), fw.end(), cw.begin()))
-      << "fork and counter kinds produced the same trajectory — the "
-         "counter kernel is probably replaying the fork stream";
 }
 
 TEST(CounterKernel, RepeatingAnIterationRepeatsItsDraws) {

@@ -1,13 +1,11 @@
-// Partition-invariance property suite for erosion::DistributedDomain — the
-// cross-process extension of the sharded harness (test_sharded_erosion).
+// Partition-invariance property suite for erosion::DistributedDomain.
 //
-// The load-bearing claim: for EVERY (rank count, partitioner, per-rank
-// thread count), stepping the domain distributed over the SPMD runtime is
-// BIT-identical to the serial shared-stream ErosionDomain::step(rng) — the
-// same global counters, the same per-column FLOP accounting (exact FP
-// equality), and the same master-RNG post-run state on every rank — and
-// this survives mid-run rebalances that migrate disc ownership and column
-// weights as real runtime::Mailbox messages. On top of that, the analytic
+// The load-bearing claim: for EVERY (rank count, partitioner, exchange mode,
+// per-rank thread count), stepping the domain distributed over the SPMD
+// runtime is BIT-identical to ErosionDomain::step_counter on one process —
+// the same global counters and the same per-column FLOP accounting (exact
+// FP equality) — and this survives mid-run rebalances that migrate disc
+// ownership and column weights as real runtime::Mailbox messages. On top of that, the analytic
 // lb::migration_volume prediction must match the bytes the rebalance
 // actually exchanged.
 #include "erosion/distributed_domain.hpp"
@@ -36,22 +34,19 @@ std::shared_ptr<const lb::Partitioner> shared_partitioner(
   return std::shared_ptr<const lb::Partitioner>(lb::make_partitioner(name));
 }
 
-/// Serial shared-stream reference: the domain after `steps` iterations plus
-/// the master stream's post-run state.
+/// Serial in-process reference: the domain after `steps` iterations.
 struct SerialReference {
   std::vector<double> weights;
   double total = 0.0;
   std::int64_t eroded = 0;
   std::int64_t rock_remaining = 0;
   std::int64_t frontier = 0;
-  std::vector<std::uint64_t> post_draws;
 };
 
 SerialReference serial_reference(const DomainConfig& cfg, std::uint64_t seed,
                                  int steps) {
   ErosionDomain domain(cfg);
-  support::Rng rng(seed);
-  for (int s = 0; s < steps; ++s) (void)domain.step(rng);
+  for (int s = 0; s < steps; ++s) (void)domain.step_counter(seed, s);
   SerialReference ref;
   ref.weights.assign(domain.column_weights().begin(),
                      domain.column_weights().end());
@@ -59,23 +54,19 @@ SerialReference serial_reference(const DomainConfig& cfg, std::uint64_t seed,
   ref.eroded = domain.eroded_cells();
   ref.rock_remaining = domain.rock_cells_remaining();
   ref.frontier = domain.frontier_size();
-  for (int d = 0; d < 4; ++d) ref.post_draws.push_back(rng());
   return ref;
 }
 
-/// Every rank checks its replicated report and master stream against the
-/// serial reference; rank 0 additionally gathers and compares the full
-/// per-column weights bit-for-bit.
+/// Every rank checks its replicated report against the serial reference;
+/// rank 0 additionally gathers and compares the full per-column weights
+/// bit-for-bit.
 void expect_matches_reference(const SerialReference& ref,
                               const DistributedDomain& domain,
-                              support::Rng rng, const std::string& what) {
+                              const std::string& what) {
   EXPECT_EQ(ref.eroded, domain.eroded_cells()) << what;
   EXPECT_EQ(ref.rock_remaining, domain.rock_cells_remaining()) << what;
   EXPECT_EQ(ref.frontier, domain.frontier_size()) << what;
   EXPECT_EQ(ref.total, domain.total_workload()) << what;
-  for (std::size_t d = 0; d < ref.post_draws.size(); ++d)
-    ASSERT_EQ(ref.post_draws[d], rng())
-        << what << " — post-run draw " << d << " on rank " << domain.rank();
   const std::vector<double> full = domain.gather_column_weights(0);
   if (domain.rank() == 0) {
     ASSERT_EQ(ref.weights.size(), full.size()) << what;
@@ -155,59 +146,17 @@ TEST(DistributedErosion, CoverIsCompleteAndDisjointAcrossRanks) {
   }
 }
 
-TEST(DistributedErosion, BitIdenticalToSerialForEveryRankPartitionerPool) {
-  constexpr int kSteps = 14;
-  support::Rng config_rng(77);
-  for (int trial = 0; trial < 3; ++trial) {
-    const DomainConfig cfg = testing::random_domain_config(config_rng);
-    const std::uint64_t seed = 5000 + static_cast<std::uint64_t>(trial);
-    const SerialReference ref = serial_reference(cfg, seed, kSteps);
-
-    for (const std::string& name : lb::partitioner_names()) {
-      for (const int ranks : {1, 2, 4, 8}) {
-        for (const std::size_t threads : {1u, 2u}) {
-          runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
-            DistributedDomain domain(cfg, comm, shared_partitioner(name));
-            support::Rng rng(seed);
-            support::ThreadPool pool(threads);
-            std::int64_t eroded_total = 0;
-            for (int s = 0; s < kSteps; ++s)
-              eroded_total += domain.step(rng, pool);
-            EXPECT_EQ(eroded_total, ref.eroded);
-            expect_matches_reference(
-                ref, domain, rng,
-                "trial " + std::to_string(trial) + ", partitioner " + name +
-                    ", ranks " + std::to_string(ranks) + ", threads " +
-                    std::to_string(threads));
-          });
-        }
-      }
-    }
-  }
-}
-
-/// The counter-RNG sweep: one serial unsharded counter trajectory must be
-/// reproduced bit for bit by every (rank count, partitioner, exchange mode,
-/// per-rank pool) combination, across mid-run rebalances that migrate disc
-/// ownership as real messages. Unlike the fork sweep there is no burn pass
-/// and no master-stream state to compare — the invariance is structural.
-TEST(DistributedErosion, CounterPathBitIdenticalForEveryRankExchangePool) {
+/// One serial trajectory must be reproduced bit for bit by every (rank
+/// count, partitioner, exchange mode, per-rank pool) combination, across
+/// mid-run rebalances that migrate disc ownership as real messages.
+TEST(DistributedErosion, BitIdenticalToSerialForEveryRankExchangePool) {
   constexpr int kSteps = 14;
   support::Rng config_rng(4242);
   for (int trial = 0; trial < 2; ++trial) {
     const DomainConfig cfg = testing::random_domain_config(config_rng);
     const std::uint64_t seed = 8000 + static_cast<std::uint64_t>(trial);
 
-    // Serial unsharded counter reference.
-    ErosionDomain reference(cfg);
-    for (int s = 0; s < kSteps; ++s) (void)reference.step_counter(seed, s);
-    SerialReference ref;
-    ref.weights.assign(reference.column_weights().begin(),
-                       reference.column_weights().end());
-    ref.total = reference.total_workload();
-    ref.eroded = reference.eroded_cells();
-    ref.rock_remaining = reference.rock_cells_remaining();
-    ref.frontier = reference.frontier_size();
+    const SerialReference ref = serial_reference(cfg, seed, kSteps);
 
     for (const std::string& name : lb::partitioner_names()) {
       for (const int ranks : {1, 2, 4, 8}) {
@@ -227,8 +176,8 @@ TEST(DistributedErosion, CounterPathBitIdenticalForEveryRankExchangePool) {
               }
               EXPECT_EQ(eroded_total, ref.eroded);
               expect_matches_reference(
-                  ref, domain, support::Rng(0),
-                  "counter trial " + std::to_string(trial) +
+                  ref, domain,
+                  "trial " + std::to_string(trial) +
                       ", partitioner " + name + ", ranks " +
                       std::to_string(ranks) + ", exchange " +
                       exchange_mode_name(mode) + ", threads " +
@@ -254,10 +203,9 @@ TEST(DistributedErosion, MidRunMigrationKeepsTrajectoryAndCover) {
       if (ranks > cfg.columns) continue;
       runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
         DistributedDomain domain(cfg, comm, shared_partitioner(name));
-        support::Rng rng(seed);
         support::ThreadPool pool(2);
         for (int s = 0; s < kSteps; ++s) {
-          (void)domain.step(rng, pool);
+          (void)domain.step_counter(seed, s, &pool);
           if (s % 6 == 5) {
             const DistributedReshardResult res = domain.rebalance();
             EXPECT_EQ(res.boundaries.size(),
@@ -266,7 +214,7 @@ TEST(DistributedErosion, MidRunMigrationKeepsTrajectoryAndCover) {
             expect_complete_disjoint_cover(comm, domain);
           }
         }
-        expect_matches_reference(ref, domain, rng,
+        expect_matches_reference(ref, domain,
                                  std::string("rebalance, partitioner ") +
                                      name + ", trial " +
                                      std::to_string(trial));
@@ -275,9 +223,9 @@ TEST(DistributedErosion, MidRunMigrationKeepsTrajectoryAndCover) {
   }
 }
 
-/// Both wire protocols must produce the SAME domain — bit-equal weights,
-/// counters, and master-stream position — including across a mid-run
-/// rebalance that reshapes the neighbor sets.
+/// Both wire protocols must produce the SAME domain — bit-equal weights and
+/// counters — including across a mid-run rebalance that reshapes the
+/// neighbor sets.
 TEST(DistributedErosion, StepExchangeModesAreBitIdenticalAcrossModes) {
   constexpr int kSteps = 18;
   support::Rng config_rng(808);
@@ -293,13 +241,12 @@ TEST(DistributedErosion, StepExchangeModesAreBitIdenticalAcrossModes) {
           runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
             DistributedDomain domain(cfg, comm, shared_partitioner(name),
                                      mode);
-            support::Rng rng(seed);
             for (int s = 0; s < kSteps; ++s) {
-              (void)domain.step(rng);
+              (void)domain.step_counter(seed, s);
               if (s == kSteps / 2) (void)domain.rebalance();
             }
             expect_matches_reference(
-                ref, domain, rng,
+                ref, domain,
                 "exchange " + exchange_mode_name(mode) + ", partitioner " +
                     name + ", ranks " + std::to_string(ranks));
           });
@@ -339,8 +286,7 @@ TEST(DistributedErosion, NeighborExchangeSendsStrictlyFewerStepMessages) {
           comm.barrier();
           const runtime::TrafficCounters before = comm.traffic();
           comm.barrier();
-          support::Rng rng(4);
-          for (int s = 0; s < kSteps; ++s) (void)domain.step(rng);
+          for (int s = 0; s < kSteps; ++s) (void)domain.step_counter(4, s);
           comm.barrier();
           const runtime::TrafficCounters after = comm.traffic();
           comm.barrier();
@@ -426,9 +372,8 @@ TEST(DistributedErosion, HaloExchangeOnAdversarialBoundaryDiscs) {
       if (name == "stripe") {
         EXPECT_NE(domain.owner_of_column(6), domain.owner_of_column(25));
       }
-      support::Rng rng(seed);
-      for (int s = 0; s < kSteps; ++s) (void)domain.step(rng);
-      expect_matches_reference(ref, domain, rng,
+      for (int s = 0; s < kSteps; ++s) (void)domain.step_counter(seed, s);
+      expect_matches_reference(ref, domain,
                                "adversarial boundary discs, " + name);
     });
   }
@@ -451,8 +396,7 @@ TEST(DistributedErosion, RebalanceMigratesStateAsMessagesAndMatchesModel) {
     // strong disc erodes (and gains refined workload) the recut must move
     // the boundaries it chose for the initial profile.
     DistributedDomain domain(cfg, comm, shared_partitioner("greedy"));
-    support::Rng rng(7);
-    for (int s = 0; s < 16; ++s) (void)domain.step(rng);
+    for (int s = 0; s < 16; ++s) (void)domain.step_counter(7, s);
 
     const lb::StripeBoundaries before = domain.rank_boundaries();
     const DistributedReshardResult res = domain.rebalance();
@@ -476,18 +420,21 @@ TEST(DistributedErosion, RebalanceMigratesStateAsMessagesAndMatchesModel) {
     EXPECT_GT(res.observed_payload_bytes, 0.0);
 
     // Trajectory unaffected: continue stepping and compare against serial.
-    for (int s = 0; s < 8; ++s) (void)domain.step(rng);
+    for (int s = 16; s < 24; ++s) (void)domain.step_counter(7, s);
     const SerialReference ref = serial_reference(cfg, 7, 24);
-    expect_matches_reference(ref, domain, rng, "post-migration stepping");
+    expect_matches_reference(ref, domain, "post-migration stepping");
   });
 }
 
 TEST(DistributedErosion, DiscHandOffRoundTripsBitExactly) {
   support::Rng config_rng(123);
   const DomainConfig cfg = testing::random_domain_config(config_rng);
-  DiscState d = build_disc_state(cfg.discs[0]);
-  support::Rng rng(3);
-  for (int s = 0; s < 5; ++s) apply_disc(d, decide_disc(d, rng));
+  std::vector<DiscState> discs{build_disc_state(cfg.discs[0])};
+  const std::size_t id = 0;
+  CounterWorkspace ws;
+  for (int s = 0; s < 5; ++s)
+    (void)counter_decide_apply(discs, {&id, 1}, 3, s, nullptr, ws);
+  const DiscState& d = discs[0];
   const auto payload = serialize_disc(4, d);
   const DiscState back = deserialize_disc(payload, 4);
   EXPECT_EQ(d.x0, back.x0);
@@ -574,11 +521,9 @@ TEST(DistributedErosion, AppRunResultBitIdenticalToSerial) {
   }
 }
 
-/// App level, counter RNG kind: the serial in-process run, the sharded run,
-/// the pooled run, and the distributed run must produce ONE RunResult bit
-/// for bit — and it must differ from the fork kind's result (different
-/// stream, different trajectory).
-TEST(DistributedErosion, AppCounterKindOneResultAcrossThreadsShardsRanks) {
+/// App level: the serial in-process run, the pooled run, and the
+/// distributed run must produce ONE RunResult bit for bit.
+TEST(DistributedErosion, AppOneResultAcrossThreadsAndRanks) {
   erosion::AppConfig cfg;
   cfg.pe_count = 16;
   cfg.columns_per_pe = 48;
@@ -590,17 +535,10 @@ TEST(DistributedErosion, AppCounterKindOneResultAcrossThreadsShardsRanks) {
   cfg.bytes_per_cell = 256.0;
   cfg.comm.latency_s = 1e-4;
   cfg.comm.bandwidth_Bps = 2e9;
-  cfg.rng_kind = RngKind::kCounter;
 
   const RunResult serial = ErosionApp(cfg).run();
   ASSERT_GE(serial.lb_count, 1)
       << "the reference run must exercise at least one mid-run LB step";
-
-  AppConfig fork_cfg = cfg;
-  fork_cfg.rng_kind = RngKind::kFork;
-  const RunResult fork = ErosionApp(fork_cfg).run();
-  EXPECT_NE(serial.eroded_cells, fork.eroded_cells)
-      << "counter and fork kinds must be different streams";
 
   const auto expect_same = [&](const AppConfig& variant,
                                const std::string& what) {
@@ -618,10 +556,6 @@ TEST(DistributedErosion, AppCounterKindOneResultAcrossThreadsShardsRanks) {
   AppConfig threaded = cfg;
   threaded.threads = 4;
   expect_same(threaded, "threads 4");
-  AppConfig shard_cfg = cfg;
-  shard_cfg.shards = 4;
-  shard_cfg.threads = 2;
-  expect_same(shard_cfg, "shards 4, threads 2");
   for (const std::int64_t ranks : {2, 4}) {
     AppConfig dist_cfg = cfg;
     dist_cfg.ranks = ranks;
@@ -680,12 +614,8 @@ TEST(DistributedErosion, AppExchangeModesBitIdenticalNeighborCheaper) {
   }
 }
 
-TEST(DistributedErosion, AppConfigRejectsRanksShardsCombination) {
+TEST(DistributedErosion, AppConfigRejectsOutOfRangeRanks) {
   erosion::AppConfig cfg;
-  cfg.ranks = 2;
-  cfg.shards = 2;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.shards = 1;
   cfg.ranks = cfg.pe_count + 1;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.ranks = 0;

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+
+#include "erosion/domain.hpp"
+#include "support/rng.hpp"
 
 namespace ulba::erosion {
 namespace {
@@ -58,6 +62,21 @@ TEST(App, MakeDomainPlacesOneDiscPerStripe) {
       d.discs.begin(), d.discs.end(),
       [](const RockDisc& r) { return r.erosion_prob == 0.4; });
   EXPECT_EQ(strong, 1);
+}
+
+TEST(App, DynamicsKeyIsTheForkedSubSeed) {
+  // The dynamics contract external replays rely on: a run's erosion equals
+  // stepping the domain by hand with the key Rng(seed).fork(1).seed(), one
+  // step_counter call per iteration.
+  AppConfig c = small_config(Method::kUlba, 2, 17);
+  c.iterations = 40;
+  const ErosionApp app(c);
+  ErosionDomain domain(app.make_domain());
+  const std::uint64_t key = support::Rng(c.seed).fork(1).seed();
+  for (std::int64_t iter = 0; iter < c.iterations; ++iter)
+    (void)domain.step_counter(key, iter);
+  ASSERT_GT(domain.eroded_cells(), 0);
+  EXPECT_EQ(app.run().eroded_cells, domain.eroded_cells());
 }
 
 TEST(App, RunProducesFullTrace) {

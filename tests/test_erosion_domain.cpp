@@ -1,11 +1,13 @@
 // The erosion workload: disc construction, frontier dynamics, workload
-// accounting, and determinism.
+// accounting, and determinism (stepped by the counter kernel).
 #include "erosion/domain.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 namespace ulba::erosion {
 namespace {
@@ -82,38 +84,39 @@ TEST(Domain, FrontierStartsOnTheRim) {
 
 TEST(Domain, ZeroProbabilityNeverErodes) {
   ErosionDomain dom(small_config(0.0));
-  support::Rng rng(1);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(dom.step(rng), 0);
+  const std::uint64_t seed = 1;
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(dom.step_counter(seed, i), 0);
   EXPECT_EQ(dom.rock_cells_remaining(), 317);
 }
 
 TEST(Domain, ProbabilityOneErodesWholeFrontierEachStep) {
   ErosionDomain dom(small_config(1.0));
-  support::Rng rng(2);
+  const std::uint64_t seed = 2;
   const auto frontier_before = dom.frontier_size();
-  const auto eroded = dom.step(rng);
+  const auto eroded = dom.step_counter(seed, 0);
   EXPECT_EQ(eroded, frontier_before);
 }
 
 TEST(Domain, ProbabilityOneEventuallyErodesEverything) {
   ErosionDomain dom(small_config(1.0));
-  support::Rng rng(3);
+  const std::uint64_t seed = 3;
+  std::int64_t iter = 0;
   // A radius-10 disc erodes layer by layer: ≤ r + a few steps.
   for (int i = 0; i < 20 && dom.rock_cells_remaining() > 0; ++i)
-    (void)dom.step(rng);
+    (void)dom.step_counter(seed, iter++);
   EXPECT_EQ(dom.rock_cells_remaining(), 0);
   EXPECT_EQ(dom.eroded_cells(), 317);
   EXPECT_EQ(dom.frontier_size(), 0);
   // Further steps are harmless no-ops.
-  EXPECT_EQ(dom.step(rng), 0);
+  EXPECT_EQ(dom.step_counter(seed, iter++), 0);
 }
 
 TEST(Domain, WorkloadGrowsByRefinementFactorPerErodedCell) {
   const DomainConfig c = small_config(0.4);
   ErosionDomain dom(c);
   const double w0 = dom.total_workload();
-  support::Rng rng(4);
-  const auto eroded = dom.step(rng);
+  const std::uint64_t seed = 4;
+  const auto eroded = dom.step_counter(seed, 0);
   ASSERT_GT(eroded, 0);
   EXPECT_NEAR(dom.total_workload(),
               w0 + static_cast<double>(eroded) * 4.0 * 52.0, 1e-6);
@@ -121,17 +124,18 @@ TEST(Domain, WorkloadGrowsByRefinementFactorPerErodedCell) {
 
 TEST(Domain, RockPlusErodedIsConserved) {
   ErosionDomain dom(small_config(0.3));
-  support::Rng rng(5);
-  for (int i = 0; i < 15; ++i) (void)dom.step(rng);
+  const std::uint64_t seed = 5;
+  for (int i = 0; i < 15; ++i) (void)dom.step_counter(seed, i);
   EXPECT_EQ(dom.rock_cells_remaining() + dom.eroded_cells(), 317);
 }
 
 TEST(Domain, ErosionIsMonotone) {
   ErosionDomain dom(small_config(0.2));
-  support::Rng rng(6);
+  const std::uint64_t seed = 6;
+  std::int64_t iter = 0;
   std::int64_t prev_rock = dom.rock_cells_remaining();
   for (int i = 0; i < 25; ++i) {
-    (void)dom.step(rng);
+    (void)dom.step_counter(seed, iter++);
     EXPECT_LE(dom.rock_cells_remaining(), prev_rock);
     prev_rock = dom.rock_cells_remaining();
   }
@@ -140,9 +144,8 @@ TEST(Domain, ErosionIsMonotone) {
 TEST(Domain, DeterministicForFixedSeed) {
   const auto run = [](std::uint64_t seed) {
     ErosionDomain dom(small_config(0.4));
-    support::Rng rng(seed);
     std::vector<std::int64_t> trace;
-    for (int i = 0; i < 10; ++i) trace.push_back(dom.step(rng));
+    for (int i = 0; i < 10; ++i) trace.push_back(dom.step_counter(seed, i));
     return trace;
   };
   EXPECT_EQ(run(42), run(42));
@@ -157,16 +160,16 @@ TEST(Domain, StrongDiscErodesFasterThanWeak) {
   RockDisc strong{150, 30, 10, 0.4};
   c.discs = {weak, strong};
   ErosionDomain dom(c);
-  support::Rng rng(7);
-  for (int i = 0; i < 10; ++i) (void)dom.step(rng);
+  const std::uint64_t seed = 7;
+  for (int i = 0; i < 10; ++i) (void)dom.step_counter(seed, i);
   EXPECT_GT(dom.disc_rock_remaining(0), dom.disc_rock_remaining(1));
 }
 
 TEST(Domain, ColumnBytesProportionalToWeights) {
   const DomainConfig c = small_config();
   ErosionDomain dom(c);
-  support::Rng rng(8);
-  (void)dom.step(rng);
+  const std::uint64_t seed = 8;
+  (void)dom.step_counter(seed, 0);
   const auto w = dom.column_weights();
   const auto b = dom.column_bytes();
   ASSERT_EQ(w.size(), b.size());
@@ -181,8 +184,8 @@ TEST(Domain, MultipleDiscsErodeIndependently) {
   c.discs = {RockDisc{50, 30, 10, 1.0}, RockDisc{150, 30, 10, 0.0},
              RockDisc{250, 30, 10, 1.0}};
   ErosionDomain dom(c);
-  support::Rng rng(9);
-  for (int i = 0; i < 15; ++i) (void)dom.step(rng);
+  const std::uint64_t seed = 9;
+  for (int i = 0; i < 15; ++i) (void)dom.step_counter(seed, i);
   EXPECT_EQ(dom.disc_rock_remaining(0), 0);
   EXPECT_EQ(dom.disc_rock_remaining(1), 317);
   EXPECT_EQ(dom.disc_rock_remaining(2), 0);
@@ -190,10 +193,10 @@ TEST(Domain, MultipleDiscsErodeIndependently) {
 
 TEST(Domain, ErodedColumnGainsWeightLocally) {
   ErosionDomain dom(small_config(1.0));
-  support::Rng rng(10);
+  const std::uint64_t seed = 10;
   const std::vector<double> before(dom.column_weights().begin(),
                                    dom.column_weights().end());
-  (void)dom.step(rng);
+  (void)dom.step_counter(seed, 0);
   const auto after = dom.column_weights();
   // The leftmost disc column (x = 40) held exactly the rim cell, which has
   // now refined: weight increased there; far-away columns are untouched.

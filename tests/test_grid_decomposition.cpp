@@ -6,16 +6,15 @@
 //     every disc is owned by exactly the tile holding its center — for 1xC,
 //     Rx1, and RxC shapes alike;
 //   * the trajectory is BIT-identical to the serial run for every grid
-//     shape x exchange mode x per-rank pool, for BOTH RNG kinds (counter
-//     through the rank-0 monitor protocol; fork through the replayed master
-//     stream), across mid-run rebalances — and a 1xC grid without the tuner
-//     IS the 1D stripe decomposition, byte for byte;
+//     shape x exchange mode x per-rank pool (through the rank-0 monitor
+//     protocol), across mid-run rebalances — and a 1xC grid without the
+//     tuner IS the 1D stripe decomposition, byte for byte;
 //   * 2D neighbor sets (edge AND corner neighbors) are mutually consistent,
 //     survive damped tuner moves, route corner-straddling discs correctly,
 //     and make the neighbor exchange strictly cheaper than all-to-all for
 //     R >= 4 — cross-validated against the runtime traffic counters;
-//   * the CLI surface: `erosion --decomp grid --grid 2x2` golden reports for
-//     both RNG kinds, and the flag-combination rejections.
+//   * the CLI surface: `erosion --decomp grid --grid 2x2` golden reports
+//     (recut and tuner), and the flag-combination rejections.
 #include "erosion/distributed_domain.hpp"
 
 #include <gtest/gtest.h>
@@ -62,34 +61,17 @@ GridOptions grid_options(std::int64_t rows, std::int64_t cols,
   return grid;
 }
 
-/// Serial reference trajectory (fork or counter stepping chosen by caller).
+/// Serial in-process reference trajectory.
 struct SerialReference {
   std::vector<double> weights;
   double total = 0.0;
   std::int64_t eroded = 0;
   std::int64_t rock_remaining = 0;
   std::int64_t frontier = 0;
-  std::vector<std::uint64_t> post_draws;
 };
 
-SerialReference fork_reference(const DomainConfig& cfg, std::uint64_t seed,
-                               int steps) {
-  ErosionDomain domain(cfg);
-  support::Rng rng(seed);
-  for (int s = 0; s < steps; ++s) (void)domain.step(rng);
-  SerialReference ref;
-  ref.weights.assign(domain.column_weights().begin(),
-                     domain.column_weights().end());
-  ref.total = domain.total_workload();
-  ref.eroded = domain.eroded_cells();
-  ref.rock_remaining = domain.rock_cells_remaining();
-  ref.frontier = domain.frontier_size();
-  for (int d = 0; d < 4; ++d) ref.post_draws.push_back(rng());
-  return ref;
-}
-
-SerialReference counter_reference(const DomainConfig& cfg, std::uint64_t seed,
-                                  int steps) {
+SerialReference serial_reference(const DomainConfig& cfg, std::uint64_t seed,
+                                 int steps) {
   ErosionDomain domain(cfg);
   for (int s = 0; s < steps; ++s) (void)domain.step_counter(seed, s);
   SerialReference ref;
@@ -104,14 +86,11 @@ SerialReference counter_reference(const DomainConfig& cfg, std::uint64_t seed,
 
 void expect_matches_reference(const SerialReference& ref,
                               const DistributedDomain& domain,
-                              support::Rng rng, const std::string& what) {
+                              const std::string& what) {
   EXPECT_EQ(ref.eroded, domain.eroded_cells()) << what;
   EXPECT_EQ(ref.rock_remaining, domain.rock_cells_remaining()) << what;
   EXPECT_EQ(ref.frontier, domain.frontier_size()) << what;
   EXPECT_EQ(ref.total, domain.total_workload()) << what;
-  for (std::size_t d = 0; d < ref.post_draws.size(); ++d)
-    ASSERT_EQ(ref.post_draws[d], rng())
-        << what << " — post-run draw " << d << " on rank " << domain.rank();
   const std::vector<double> full = domain.gather_column_weights(0);
   if (domain.rank() == 0) {
     ASSERT_EQ(ref.weights.size(), full.size()) << what;
@@ -232,13 +211,13 @@ TEST(GridDecomposition, TileCoverIsCompleteAndDisjoint) {
   }
 }
 
-TEST(GridDecomposition, CounterBitIdenticalAcrossShapesExchangesPools) {
+TEST(GridDecomposition, BitIdenticalAcrossShapesExchangesPools) {
   constexpr int kSteps = 12;
   support::Rng config_rng(613);
   for (int trial = 0; trial < 2; ++trial) {
     const DomainConfig cfg = testing::random_domain_config(config_rng);
     const std::uint64_t seed = 9100 + static_cast<std::uint64_t>(trial);
-    const SerialReference ref = counter_reference(cfg, seed, kSteps);
+    const SerialReference ref = serial_reference(cfg, seed, kSteps);
     for (const std::string name : {"greedy", "stripe"}) {
       for (const lb::GridShape& shape : kFourRankShapes) {
         for (const ExchangeMode mode :
@@ -258,8 +237,8 @@ TEST(GridDecomposition, CounterBitIdenticalAcrossShapesExchangesPools) {
               }
               EXPECT_EQ(eroded_total, ref.eroded);
               expect_matches_reference(
-                  ref, domain, support::Rng(0),
-                  "counter trial " + std::to_string(trial) + ", " + name +
+                  ref, domain,
+                  "trial " + std::to_string(trial) + ", " + name +
                       ", shape " + shape_label(shape) + ", exchange " +
                       exchange_mode_name(mode) + ", threads " +
                       std::to_string(threads));
@@ -267,35 +246,6 @@ TEST(GridDecomposition, CounterBitIdenticalAcrossShapesExchangesPools) {
           }
         }
       }
-    }
-  }
-}
-
-/// Fork RNG: the 1xC grid must replay the master stream exactly like the
-/// stripe path (it IS the stripe path), and the genuinely 2D grid must
-/// reproduce the same serial trajectory through the monitor protocol —
-/// weights, counters, AND the post-run master-stream position.
-TEST(GridDecomposition, ForkBitIdenticalForStripeDegenerateAnd2DGrids) {
-  constexpr int kSteps = 14;
-  support::Rng config_rng(2718);
-  for (int trial = 0; trial < 2; ++trial) {
-    const DomainConfig cfg = testing::random_domain_config(config_rng);
-    const std::uint64_t seed = 660 + static_cast<std::uint64_t>(trial);
-    const SerialReference ref = fork_reference(cfg, seed, kSteps);
-    for (const lb::GridShape& shape : kFourRankShapes) {
-      runtime::spmd_run(4, [&](runtime::Comm& comm) {
-        DistributedDomain domain(cfg, comm, shared_partitioner("greedy"),
-                                 ExchangeMode::kNeighbor,
-                                 grid_options(shape.rows, shape.cols));
-        support::Rng rng(seed);
-        for (int s = 0; s < kSteps; ++s) {
-          (void)domain.step(rng);
-          if (s == kSteps / 2) (void)domain.rebalance();
-        }
-        expect_matches_reference(ref, domain, rng,
-                                 "fork trial " + std::to_string(trial) +
-                                     ", shape " + shape_label(shape));
-      });
     }
   }
 }
@@ -317,10 +267,10 @@ TEST(GridDecomposition, NeighborSetsStayMutualAcrossTunerRebalances) {
     DistributedDomain domain(cfg, comm, shared_partitioner("stripe"),
                              ExchangeMode::kNeighbor,
                              grid_options(2, 2, /*tuner=*/true));
-    support::Rng rng(5);
+    std::int64_t iter = 0;
     bool any_tuned = false;
     for (int round = 0; round < 3; ++round) {
-      for (int s = 0; s < 8; ++s) (void)domain.step(rng);
+      for (int s = 0; s < 8; ++s) (void)domain.step_counter(5, iter++);
       const std::vector<std::int64_t> rb = domain.grid_row_bounds();
       const std::vector<std::int64_t> cb = domain.grid_col_bounds();
       const DistributedReshardResult res = domain.rebalance();
@@ -342,8 +292,8 @@ TEST(GridDecomposition, NeighborSetsStayMutualAcrossTunerRebalances) {
     // The skew is strong enough that at least one rebalance must tune.
     EXPECT_TRUE(any_tuned);
     // The tuner moves boundaries, never the trajectory.
-    const SerialReference ref = fork_reference(cfg, 5, 24);
-    expect_matches_reference(ref, domain, rng, "post-tuner trajectory");
+    const SerialReference ref = serial_reference(cfg, 5, 24);
+    expect_matches_reference(ref, domain, "post-tuner trajectory");
   });
 }
 
@@ -358,7 +308,7 @@ TEST(GridDecomposition, CornerStraddlingDiscReachesCornerNeighbor) {
   cfg.validate();
   constexpr int kSteps = 18;
   const std::uint64_t seed = 424;
-  const SerialReference ref = fork_reference(cfg, seed, kSteps);
+  const SerialReference ref = serial_reference(cfg, seed, kSteps);
 
   runtime::spmd_run(4, [&](runtime::Comm& comm) {
     DistributedDomain domain(cfg, comm, shared_partitioner("stripe"),
@@ -379,9 +329,8 @@ TEST(GridDecomposition, CornerStraddlingDiscReachesCornerNeighbor) {
             << "corner-disc owner must send to tile " << q;
     }
     expect_mutual_neighbor_sets(comm, domain, "corner disc");
-    support::Rng rng(seed);
-    for (int s = 0; s < kSteps; ++s) (void)domain.step(rng);
-    expect_matches_reference(ref, domain, rng, "corner-straddling disc");
+    for (int s = 0; s < kSteps; ++s) (void)domain.step_counter(seed, s);
+    expect_matches_reference(ref, domain, "corner-straddling disc");
   });
 }
 
@@ -416,8 +365,7 @@ TEST(GridDecomposition, NeighborExchangeStrictlyCheaperIn2D) {
         comm.barrier();
         const runtime::TrafficCounters before = comm.traffic();
         comm.barrier();
-        support::Rng rng(4);
-        for (int s = 0; s < kSteps; ++s) (void)domain.step(rng);
+        for (int s = 0; s < kSteps; ++s) (void)domain.step_counter(4, s);
         comm.barrier();
         const runtime::TrafficCounters after = comm.traffic();
         comm.barrier();
@@ -448,7 +396,7 @@ TEST(GridDecomposition, NeighborExchangeStrictlyCheaperIn2D) {
   }
 }
 
-erosion::AppConfig grid_app_config(RngKind kind) {
+erosion::AppConfig grid_app_config() {
   erosion::AppConfig cfg;
   cfg.pe_count = 16;
   cfg.columns_per_pe = 48;
@@ -460,54 +408,51 @@ erosion::AppConfig grid_app_config(RngKind kind) {
   cfg.bytes_per_cell = 256.0;
   cfg.comm.latency_s = 1e-4;
   cfg.comm.bandwidth_Bps = 2e9;
-  cfg.rng_kind = kind;
   return cfg;
 }
 
 /// App level: `decomp = grid` must reproduce the serial RunResult bit for
-/// bit — every trajectory-facing field — for both RNG kinds, with and
-/// without the damped tuner (which may only touch the imbalance accounting,
-/// never the trajectory).
-TEST(GridDecomposition, AppRunResultBitIdenticalToSerialBothRngKinds) {
-  for (const RngKind kind : {RngKind::kFork, RngKind::kCounter}) {
-    const erosion::AppConfig serial_cfg = grid_app_config(kind);
-    const RunResult serial = ErosionApp(serial_cfg).run();
-    ASSERT_GE(serial.lb_count, 1)
-        << "the reference run must exercise at least one mid-run LB step";
-    for (const bool tuner : {false, true}) {
-      AppConfig dist_cfg = serial_cfg;
-      dist_cfg.ranks = 4;
-      dist_cfg.decomp = "grid";
-      dist_cfg.grid_rows = 2;
-      dist_cfg.grid_cols = 2;
-      dist_cfg.tuner = tuner;
-      const RunResult dist = ErosionApp(dist_cfg).run();
-      const std::string what = std::string("rng ") + rng_kind_name(kind) +
-                               (tuner ? ", tuner" : ", recut");
-      EXPECT_EQ(serial.total_seconds, dist.total_seconds) << what;
-      EXPECT_EQ(serial.compute_seconds, dist.compute_seconds) << what;
-      EXPECT_EQ(serial.lb_seconds, dist.lb_seconds) << what;
-      EXPECT_EQ(serial.lb_count, dist.lb_count) << what;
-      EXPECT_EQ(serial.fallback_count, dist.fallback_count) << what;
-      EXPECT_EQ(serial.average_utilization, dist.average_utilization) << what;
-      EXPECT_EQ(serial.eroded_cells, dist.eroded_cells) << what;
-      EXPECT_EQ(serial.final_imbalance, dist.final_imbalance) << what;
-      EXPECT_EQ(serial.lb_iterations, dist.lb_iterations) << what;
-      EXPECT_EQ(serial.lb_alphas, dist.lb_alphas) << what;
-      ASSERT_EQ(serial.iterations.size(), dist.iterations.size()) << what;
-      for (std::size_t i = 0; i < serial.iterations.size(); ++i) {
-        EXPECT_EQ(serial.iterations[i].seconds, dist.iterations[i].seconds)
-            << what << " — iteration " << i;
-        EXPECT_EQ(serial.iterations[i].utilization,
-                  dist.iterations[i].utilization)
-            << what << " — iteration " << i;
-        EXPECT_EQ(serial.iterations[i].lb_performed,
-                  dist.iterations[i].lb_performed)
-            << what << " — iteration " << i;
-      }
-      // The grid accounting is additional, never trajectory-facing.
-      EXPECT_GE(dist.rank_fractional_imbalance, 0.0) << what;
-      if (!tuner) EXPECT_EQ(dist.grid_tuner_iterations, 0) << what;
+/// bit — every trajectory-facing field — with and without the damped tuner
+/// (which may only touch the imbalance accounting, never the trajectory).
+TEST(GridDecomposition, AppRunResultBitIdenticalToSerial) {
+  const erosion::AppConfig serial_cfg = grid_app_config();
+  const RunResult serial = ErosionApp(serial_cfg).run();
+  ASSERT_GE(serial.lb_count, 1)
+      << "the reference run must exercise at least one mid-run LB step";
+  for (const bool tuner : {false, true}) {
+    AppConfig dist_cfg = serial_cfg;
+    dist_cfg.ranks = 4;
+    dist_cfg.decomp = "grid";
+    dist_cfg.grid_rows = 2;
+    dist_cfg.grid_cols = 2;
+    dist_cfg.tuner = tuner;
+    const RunResult dist = ErosionApp(dist_cfg).run();
+    const std::string what = tuner ? "tuner" : "recut";
+    EXPECT_EQ(serial.total_seconds, dist.total_seconds) << what;
+    EXPECT_EQ(serial.compute_seconds, dist.compute_seconds) << what;
+    EXPECT_EQ(serial.lb_seconds, dist.lb_seconds) << what;
+    EXPECT_EQ(serial.lb_count, dist.lb_count) << what;
+    EXPECT_EQ(serial.fallback_count, dist.fallback_count) << what;
+    EXPECT_EQ(serial.average_utilization, dist.average_utilization) << what;
+    EXPECT_EQ(serial.eroded_cells, dist.eroded_cells) << what;
+    EXPECT_EQ(serial.final_imbalance, dist.final_imbalance) << what;
+    EXPECT_EQ(serial.lb_iterations, dist.lb_iterations) << what;
+    EXPECT_EQ(serial.lb_alphas, dist.lb_alphas) << what;
+    ASSERT_EQ(serial.iterations.size(), dist.iterations.size()) << what;
+    for (std::size_t i = 0; i < serial.iterations.size(); ++i) {
+      EXPECT_EQ(serial.iterations[i].seconds, dist.iterations[i].seconds)
+          << what << " — iteration " << i;
+      EXPECT_EQ(serial.iterations[i].utilization,
+                dist.iterations[i].utilization)
+          << what << " — iteration " << i;
+      EXPECT_EQ(serial.iterations[i].lb_performed,
+                dist.iterations[i].lb_performed)
+          << what << " — iteration " << i;
+    }
+    // The grid accounting is additional, never trajectory-facing.
+    EXPECT_GE(dist.rank_fractional_imbalance, 0.0) << what;
+    if (!tuner) {
+      EXPECT_EQ(dist.grid_tuner_iterations, 0) << what;
     }
   }
 }
@@ -543,7 +488,7 @@ void expect_matches_golden(const std::string& name,
       << " — regenerate with ULBA_UPDATE_GOLDEN=1 if intentional";
 }
 
-TEST(GridDecomposition, CliGoldenGridReportForkRng) {
+TEST(GridDecomposition, CliGoldenGridReport) {
   expect_matches_golden(
       "erosion_grid",
       {"erosion", "--pes", "16", "--iterations", "60", "--columns-per-pe",
@@ -551,13 +496,12 @@ TEST(GridDecomposition, CliGoldenGridReportForkRng) {
        "4", "--decomp", "grid", "--grid", "2x2", "--threads", "2"});
 }
 
-TEST(GridDecomposition, CliGoldenGridReportCounterRng) {
+TEST(GridDecomposition, CliGoldenGridReportTuner) {
   expect_matches_golden(
       "erosion_grid_counter",
       {"erosion", "--pes", "16", "--iterations", "60", "--columns-per-pe",
        "48", "--rows", "64", "--rock-radius", "16", "--seed", "3", "--ranks",
-       "4", "--decomp", "grid", "--grid", "2x2", "--rng", "counter",
-       "--tuner"});
+       "4", "--decomp", "grid", "--grid", "2x2", "--tuner"});
 }
 
 TEST(GridDecomposition, CliRejectsBadGridFlagCombinations) {

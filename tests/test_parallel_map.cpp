@@ -1,5 +1,6 @@
 // Unit tests for cli::parallel_map — the sweep layer's fan-out primitive
-// (built on support::ThreadPool; no ad-hoc std::async batches).
+// (built on support::ThreadPool; no ad-hoc std::async batches) — and for
+// the pool itself.
 //
 // The contracts every sweep relies on: results land in INDEX order no matter
 // how the pool schedules the work, and an exception thrown by any unit of
@@ -105,6 +106,56 @@ TEST(ParallelMap, SerialPoolOfOneMatchesParallelResults) {
   support::ThreadPool serial(1), wide(8);
   const auto fn = [](std::size_t i) { return 3.5 * static_cast<double>(i); };
   EXPECT_EQ(parallel_map(serial, 50, fn), parallel_map(wide, 50, fn));
+}
+
+// ---------------------------------------------------------------------------
+// The pool itself
+// ---------------------------------------------------------------------------
+TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
+  support::ThreadPool pool(4);
+  EXPECT_EQ(pool.thread_count(), 4u);
+  std::vector<std::atomic<int>> hits(1000);
+  pool.parallel_for(hits.size(),
+                    [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(ThreadPool, ZeroItemsIsANoOp) {
+  support::ThreadPool pool(4);
+  pool.parallel_for(0, [](std::size_t) { FAIL() << "must not be called"; });
+}
+
+TEST(ThreadPool, SerialPoolRunsInlineOnTheCallingThread) {
+  support::ThreadPool pool(1);
+  EXPECT_EQ(pool.thread_count(), 1u);
+  const auto caller = std::this_thread::get_id();
+  pool.parallel_for(8, [&](std::size_t) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  });
+}
+
+TEST(ThreadPool, PropagatesTheFirstException) {
+  support::ThreadPool pool(4);
+  EXPECT_THROW(pool.parallel_for(100,
+                                 [](std::size_t i) {
+                                   if (i == 57)
+                                     throw std::runtime_error("boom");
+                                 }),
+               std::runtime_error);
+  // The pool stays usable after a failed job.
+  std::atomic<int> ran{0};
+  pool.parallel_for(16, [&](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 16);
+}
+
+TEST(ThreadPool, SurvivesManyConsecutiveJobs) {
+  support::ThreadPool pool(3);
+  for (int job = 0; job < 200; ++job) {
+    std::atomic<int> ran{0};
+    pool.parallel_for(7, [&](std::size_t) { ran.fetch_add(1); });
+    ASSERT_EQ(ran.load(), 7) << "job " << job;
+  }
 }
 
 }  // namespace

@@ -41,11 +41,11 @@ same run — machine-independent speedup contracts that survive runner churn
 where absolute numbers cannot:
 
     "ratios": {
-      "counter 1t speedup": {
-        "numerator": "BM_ErosionStepFork",      // the slow side
-        "denominator": "BM_ErosionStepCounter/1",
-        "min_ratio": 1.5,                       // gate: num/den >= this
-        "min_cpus": 8                           // optional hardware guard
+      "counter 8t speedup": {
+        "numerator": "BM_ErosionStepCounter/1",  // the slow side
+        "denominator": "BM_ErosionStepCounter/8",
+        "min_ratio": 1.5,                        // gate: num/den >= this
+        "min_cpus": 8                            // optional hardware guard
       }
     }
 

@@ -6,6 +6,7 @@ round-trips, and the CLI exit codes hold.  Registered with ctest as
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -126,6 +127,23 @@ class Suppressions(unittest.TestCase):
         entries = ulba_lint.load_baseline(ulba_lint.DEFAULT_BASELINE)
         for entry in entries:
             self.assertTrue(str(entry["reason"]).strip())
+
+
+class AllowedPaths(unittest.TestCase):
+    def test_every_allowlisted_path_exists(self):
+        # A stale entry would silently exempt whatever file later reuses the
+        # name, so each pattern must still match a file under src/.
+        rel_paths = []
+        for root, _, names in os.walk(os.path.join(REPO, "src")):
+            for name in names:
+                rel_paths.append(os.path.relpath(
+                    os.path.join(root, name), REPO).replace(os.sep, "/"))
+        for rule, patterns in ulba_lint.RULE_ALLOWED_PATHS.items():
+            for pattern in patterns:
+                self.assertTrue(
+                    any(re.search(pattern, p) for p in rel_paths),
+                    f"{rule}: allowlisted path {pattern!r} matches no file "
+                    "under src/")
 
 
 class JsonReport(unittest.TestCase):

@@ -10,7 +10,7 @@ tooling (ASan/UBSan/TSan, clang-tidy) cannot express:
                        outside src/support/.  Kernel code draws only via
                        support::Rng / support::CounterRng, so every draw
                        stays addressable and trajectories stay bit-identical
-                       across threads x shards x ranks.
+                       across threads x ranks.
   unordered-iteration  No range-for / iterator loops over std::unordered_*
                        containers inside functions that serialize, print
                        reports, or accumulate floating-point — hash-order
@@ -103,7 +103,6 @@ RULE_ALLOWED_PATHS = {
     "time-discipline": [
         r"^src/support/burn\.",        # burns real CPU by definition
         r"^src/erosion/app\.cpp$",     # measured-time track (RunResult::measured)
-        r"^src/erosion/threaded_app\.cpp$",  # measured-time threaded driver
         r"^src/serve/",                # serve metrics (wall, throughput)
         r"^src/cli/serve_driver\.cpp$",  # serve-metrics harness (wall, rps)
     ],
