@@ -15,8 +15,6 @@
 namespace ulba::bench {
 
 using cli::AlphaVariant;
-using cli::anticipation_vs_reactive_sweep;
-using cli::AnticipationReactiveRow;
 using cli::distributed_erosion_scaling;
 using cli::DistributedScalingRow;
 using cli::dynamic_alpha_grid;

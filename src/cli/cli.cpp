@@ -82,47 +82,7 @@ std::string erosion_help() {
          "  --ns-scale <r>         burn steps per unit workload (--mt)   "
          "[4.0]\n"
          "  --migration-scale <r>  burn factor per migrated byte (--mt)  "
-         "[8.0]\n"
-         "  --noise <0..1>         multiplicative burn noise amplitude, "
-         "position-\n"
-         "                         addressed per (rank, iteration) (--mt "
-         "with\n"
-         "                         --ranks)  [0]\n"
-         "  --trigger-source <s>   clock feeding the LB trigger: model "
-         "(virtual\n"
-         "                         time, bit-identical schedule) or measured "
-         "(real\n"
-         "                         steady_clock signals decide; --ranks "
-         "--mt)\n"
-         "                         [model]\n"
-         "  --trigger-criterion <c> measured signal the trigger fires on:\n"
-         "                         degradation (Algorithm 1 on iteration "
-         "maxima)\n"
-         "                         or fli ((max-avg)/avg of per-rank burn "
-         "times)\n"
-         "                         (--trigger-source measured)  "
-         "[degradation]\n"
-         "  --fli-threshold <r>    fli level that fires the trigger\n"
-         "                         (--trigger-criterion fli)  [0.25]\n";
-}
-
-std::string anticipation_help() {
-  return "Falsify the paper's core claim on real hardware: ULBA-scheduled\n"
-         "anticipatory LB (model trigger) vs. reactive measured-trigger LB\n"
-         "(degradation and fli criteria), in measured-time mode under "
-         "injected\nburn noise at levels {0, noise/2, noise}, with a "
-         "wall/utilization/\nLB-count win/loss table. Wall numbers are real "
-         "and noisy.\n\n"
-         "options:\n"
-         "  --ranks <int>          SPMD ranks (measured-time mode)   [4]\n"
-         "  --pes <int>            processing elements               [8]\n"
-         "  --strong <int>         strongly erodible rocks           [1]\n"
-         "  --seed <int>           placement seed                    [11]\n"
-         "  --iterations <int>     erosion iterations                [60]\n"
-         "  --noise <0..1>         peak burn-noise amplitude         [0.4]\n"
-         "  --ns-scale <r>         burn steps per unit workload      [2.0]\n"
-         "  --fli-threshold <r>    reactive fli firing level         "
-         "[0.25]\n";
+         "[8.0]\n";
 }
 
 std::string intervals_help() {
@@ -287,11 +247,6 @@ const std::vector<Subcommand>& registry() {
        {},
        run_serve,
        serve_help},
-      {"anticipation",
-       "anticipatory ULBA vs. reactive measured-trigger LB under burn noise",
-       {},
-       run_anticipation,
-       anticipation_help},
   };
   return kSubcommands;
 }

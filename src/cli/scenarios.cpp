@@ -9,7 +9,6 @@
 
 #include "cli/serve_driver.hpp"
 #include "cli/sweep.hpp"
-#include "cli/validate.hpp"
 #include "core/instance.hpp"
 #include "core/intervals.hpp"
 #include "core/schedule.hpp"
@@ -81,12 +80,8 @@ int run_quickstart(const FlagMap& flags, std::ostream& out) {
   const std::int64_t threads = flags.get_int("threads", 1);
   const std::int64_t ranks = flags.get_int("ranks", 1);
   const std::string partitioner = flags.get_string("partitioner", "greedy");
-  ConfigValidator v;
-  ULBA_CHECK_FLAG(v, threads >= 1 && threads <= 256, "--threads",
-                  "--threads must be in [1, 256]");
-  ULBA_CHECK_FLAG(v, ranks >= 1 && ranks <= 16, "--ranks",
-                  "--ranks must be in [1, 16]");
-  v.raise_first();
+  ULBA_REQUIRE(threads >= 1 && threads <= 256, "--threads must be in [1, 256]");
+  ULBA_REQUIRE(ranks >= 1 && ranks <= 16, "--ranks must be in [1, 16]");
   // Reject bad names before any of the analytic report is streamed.
   (void)lb::make_partitioner(partitioner);
 
@@ -155,8 +150,7 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   flags.require_known({"mt", "pes", "strong", "seed", "iterations", "alpha",
                        "columns-per-pe", "rows", "rock-radius", "threads",
                        "ranks", "partitioner", "exchange", "ns-scale",
-                       "migration-scale", "trigger-source",
-                       "trigger-criterion", "fli-threshold", "noise"});
+                       "migration-scale"});
   const bool mt = flags.has("mt");
   const std::int64_t pe_count = flags.get_int("pes", mt ? 8 : 32);
   const std::int64_t strong = flags.get_int("strong", 1);
@@ -168,69 +162,26 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   const std::string exchange = flags.get_string("exchange", "neighbor");
   const double ns_scale = flags.get_double("ns-scale", 4.0);
   const double migration_scale = flags.get_double("migration-scale", 8.0);
-  const erosion::TriggerSource trigger_source =
-      erosion::trigger_source_from_name(
-          flags.get_string("trigger-source", "model"));
-  const erosion::TriggerCriterion trigger_criterion =
-      erosion::trigger_criterion_from_name(
-          flags.get_string("trigger-criterion", "degradation"));
-  const double fli_threshold = flags.get_double("fli-threshold", 0.25);
-  const double noise = flags.get_double("noise", 0.0);
-  // The consolidated flag-combination ladder: every violation is recorded,
-  // then the first (in the historical ladder order) is raised, so the exit-2
-  // surface is unchanged while the structured list stays available.
-  ConfigValidator v;
-  ULBA_CHECK_FLAG(v, pe_count >= 2, "--pes", "--pes must be at least 2");
-  ULBA_CHECK_FLAG(v, strong >= 1 && strong <= pe_count, "--strong",
-                  "--strong must be in [1, pes]");
-  ULBA_CHECK_FLAG(v, alpha > 0.0 && alpha <= 1.0, "--alpha",
-                  "--alpha must be in (0, 1]");
-  ULBA_CHECK_FLAG(v, threads >= 1 && threads <= 256, "--threads",
-                  "--threads must be in [1, 256]");
-  ULBA_CHECK_FLAG(v, ranks >= 1 && ranks <= 64, "--ranks",
-                  "--ranks must be in [1, 64]");
-  ULBA_CHECK_FLAG(v, ns_scale > 0.0 && migration_scale >= 0.0, "--ns-scale",
-                  "--ns-scale must be positive, --migration-scale "
-                  "nonnegative");
+  ULBA_REQUIRE(pe_count >= 2, "--pes must be at least 2");
+  ULBA_REQUIRE(strong >= 1 && strong <= pe_count,
+               "--strong must be in [1, pes]");
+  ULBA_REQUIRE(alpha > 0.0 && alpha <= 1.0, "--alpha must be in (0, 1]");
+  ULBA_REQUIRE(threads >= 1 && threads <= 256, "--threads must be in [1, 256]");
+  ULBA_REQUIRE(ranks >= 1 && ranks <= 64, "--ranks must be in [1, 64]");
+  ULBA_REQUIRE(ns_scale > 0.0 && migration_scale >= 0.0,
+               "--ns-scale must be positive, --migration-scale nonnegative");
   // Real wall clock comes from the measured-time DISTRIBUTED mode, which
   // keeps the full virtual-time knob set (partitioner, exchange, per-rank
   // pools).
-  ULBA_CHECK_FLAG(v, !mt || ranks > 1, "--mt",
-                  "--mt measures wall clock on the SPMD runtime; pass "
-                  "--ranks R --mt (R >= 2)");
-  ULBA_CHECK_FLAG(v,
-                  mt || (!flags.has("ns-scale") &&
-                         !flags.has("migration-scale")),
-                  "--ns-scale",
-                  "--ns-scale/--migration-scale calibrate measured-time "
-                  "runs; pass --mt");
-  ULBA_CHECK_FLAG(v, !flags.has("exchange") || ranks > 1, "--exchange",
-                  "--exchange routes the distributed step exchange; pass "
-                  "--ranks");
-  // The measured trigger source closes the LB loop on real steady_clock
-  // timings — only the measured-time distributed mode produces them.
-  ULBA_CHECK_FLAG(v,
-                  trigger_source == erosion::TriggerSource::kModel ||
-                      (mt && ranks > 1),
-                  "--trigger-source",
-                  "--trigger-source measured feeds the LB trigger from real "
-                  "timings; pass --ranks with --mt");
-  ULBA_CHECK_FLAG(v,
-                  !flags.has("trigger-criterion") ||
-                      trigger_source == erosion::TriggerSource::kMeasured,
-                  "--trigger-criterion",
-                  "--trigger-criterion selects the measured trigger's "
-                  "signal; pass --trigger-source measured");
-  ULBA_CHECK_FLAG(v,
-                  !flags.has("fli-threshold") ||
-                      trigger_criterion == erosion::TriggerCriterion::kFli,
-                  "--fli-threshold",
-                  "--fli-threshold calibrates the fli criterion; pass "
-                  "--trigger-criterion fli");
-  ULBA_CHECK_FLAG(v, !flags.has("noise") || (mt && ranks > 1), "--noise",
-                  "--noise perturbs the measured-time burns; pass --ranks "
-                  "with --mt");
-  v.raise_first();
+  ULBA_REQUIRE(!mt || ranks > 1,
+               "--mt measures wall clock on the SPMD runtime; pass "
+               "--ranks R --mt (R >= 2)");
+  ULBA_REQUIRE(mt || (!flags.has("ns-scale") && !flags.has("migration-scale")),
+               "--ns-scale/--migration-scale calibrate measured-time runs; "
+               "pass --mt");
+  ULBA_REQUIRE(!flags.has("exchange") || ranks > 1,
+               "--exchange routes the distributed step exchange; pass "
+               "--ranks");
 
   erosion::AppConfig cfg;
   cfg.pe_count = pe_count;
@@ -251,10 +202,6 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   cfg.measure_time = mt;
   cfg.ns_scale = ns_scale;
   cfg.migration_scale = migration_scale;
-  cfg.mt_noise = noise;
-  cfg.trigger_source = trigger_source;
-  cfg.trigger_criterion = trigger_criterion;
-  cfg.fli_threshold = fli_threshold;
   cfg.validate();
 
   out << "Erosion demo: " << cfg.pe_count << " PEs, "
@@ -272,19 +219,8 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   }
   if (cfg.measure_time) {
     out << "(measured time: each rank burns real CPU, ns_scale "
-        << cfg.ns_scale << ", migration_scale " << cfg.migration_scale;
-    if (cfg.mt_noise > 0.0)
-      out << ", burn noise +/-" << cfg.mt_noise * 100.0 << " %";
-    if (cfg.trigger_source == erosion::TriggerSource::kMeasured)
-      out << ";\n trigger source MEASURED ["
-          << erosion::trigger_criterion_name(cfg.trigger_criterion)
-          << (cfg.trigger_criterion == erosion::TriggerCriterion::kFli
-                  ? " >= " + support::Table::num(cfg.fli_threshold, 2)
-                  : "")
-          << "]: the LB schedule follows the real clock)\n";
-    else
-      out << "; the LB schedule still comes from the virtual-time "
-             "trigger)\n";
+        << cfg.ns_scale << ", migration_scale " << cfg.migration_scale
+        << "; the LB schedule still comes from the virtual-time trigger)\n";
   }
   out << "\n";
 
@@ -339,9 +275,7 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
           << "  mean utilization : " << r.measured.utilization * 100.0
           << " %\n"
           << "  iteration times  : "
-          << support::sparkline(r.measured.iteration_seconds) << "\n"
-          << "  fractional imbal : " << support::sparkline(r.measured.fli)
-          << " (mean " << mean_of(r.measured.fli) << ")\n\n";
+          << support::sparkline(r.measured.iteration_seconds) << "\n\n";
     };
     out << "measured wall clock (steady_clock on the SPMD ranks):\n\n";
     mreport("standard:", std_run);
@@ -366,15 +300,10 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
         << ratio(ulba_run.measured.lb_seconds, ulba_run.lb_seconds) << "\n"
         << "  (a constant compute ratio means the alpha-beta model prices "
            "iterations faithfully;\n   the LB ratio folds in what the model "
-           "cannot see — packing, queueing, host noise)\n";
-    if (cfg.trigger_source == erosion::TriggerSource::kModel)
-      out << "  dynamics: eroded cells and the LB schedule are bit-identical "
-             "to the model-time run\n   (the trigger consumes virtual times "
-             "only; measurements ride alongside)\n\n";
-    else
-      out << "  dynamics: eroded cells are bit-identical to the model-time "
-             "run (LB-independent);\n   the LB schedule follows the measured "
-             "trigger and is wall-clock-dependent\n\n";
+           "cannot see — packing, queueing, host noise)\n"
+        << "  dynamics: eroded cells and the LB schedule are bit-identical "
+           "to the model-time run\n   (the trigger consumes virtual times "
+           "only; measurements ride alongside)\n\n";
   }
 
   out << "==> ULBA gain: "
@@ -618,30 +547,22 @@ int run_instances(const FlagMap& flags, std::ostream& out) {
   const std::int64_t serve_batch = flags.get_int("serve-batch", 32);
   const std::int64_t cache_capacity = flags.get_int("cache-capacity", 4096);
   const std::int64_t cache_shards = flags.get_int("cache-shards", 8);
-  ConfigValidator v;
-  ULBA_CHECK_FLAG(v, samples >= 1 && samples <= 100000, "--samples",
-                  "--samples must be in [1, 100000]");
-  ULBA_CHECK_FLAG(v, grid >= 1 && grid <= 1000, "--alpha-grid",
-                  "--alpha-grid must be in [1, 1000]");
-  ULBA_CHECK_FLAG(v, ranks >= 1 && ranks <= 64, "--ranks",
-                  "--ranks must be in [1, 64]");
-  ULBA_CHECK_FLAG(v, !flags.has("serve-batch") || ranks > 1, "--serve-batch",
-                  "--serve-batch tunes the schedule service; pass --ranks");
-  ULBA_CHECK_FLAG(v, !flags.has("cache-capacity") || ranks > 1,
-                  "--cache-capacity",
-                  "--cache-capacity sizes the service's memo cache; pass "
-                  "--ranks");
-  ULBA_CHECK_FLAG(v, !flags.has("cache-shards") || ranks > 1,
-                  "--cache-shards",
-                  "--cache-shards shards the service's memo cache; pass "
-                  "--ranks");
-  ULBA_CHECK_FLAG(v, serve_batch >= 1 && serve_batch <= 4096, "--serve-batch",
-                  "--serve-batch must be in [1, 4096]");
-  ULBA_CHECK_FLAG(v, cache_capacity >= 1, "--cache-capacity",
-                  "--cache-capacity must be at least 1");
-  ULBA_CHECK_FLAG(v, cache_shards >= 1 && cache_shards <= 64, "--cache-shards",
-                  "--cache-shards must be in [1, 64]");
-  v.raise_first();
+  ULBA_REQUIRE(samples >= 1 && samples <= 100000,
+               "--samples must be in [1, 100000]");
+  ULBA_REQUIRE(grid >= 1 && grid <= 1000, "--alpha-grid must be in [1, 1000]");
+  ULBA_REQUIRE(ranks >= 1 && ranks <= 64, "--ranks must be in [1, 64]");
+  ULBA_REQUIRE(!flags.has("serve-batch") || ranks > 1,
+               "--serve-batch tunes the schedule service; pass --ranks");
+  ULBA_REQUIRE(!flags.has("cache-capacity") || ranks > 1,
+               "--cache-capacity sizes the service's memo cache; pass "
+               "--ranks");
+  ULBA_REQUIRE(!flags.has("cache-shards") || ranks > 1,
+               "--cache-shards shards the service's memo cache; pass --ranks");
+  ULBA_REQUIRE(serve_batch >= 1 && serve_batch <= 4096,
+               "--serve-batch must be in [1, 4096]");
+  ULBA_REQUIRE(cache_capacity >= 1, "--cache-capacity must be at least 1");
+  ULBA_REQUIRE(cache_shards >= 1 && cache_shards <= 64,
+               "--cache-shards must be in [1, 64]");
 
   out << "Table-II instance sweep: ULBA vs standard over the paper's random\n"
          "application families (" << samples << " instances per PE family, "
@@ -877,24 +798,20 @@ int run_serve(const FlagMap& flags, std::ostream& out) {
   const std::string mode = flags.get_string("mode", "grid");
   const std::int64_t alpha_grid = flags.get_int("alpha-grid", 10);
   const std::uint64_t seed = flags.get_seed("seed", 11);
-  ConfigValidator v;
-  ULBA_CHECK_FLAG(v, clients >= 1 && clients <= 64, "--clients",
-                  "--clients must be in [1, 64]");
-  ULBA_CHECK_FLAG(v, requests >= 1 && requests <= 100000, "--requests",
-                  "--requests must be in [1, 100000]");
-  ULBA_CHECK_FLAG(v, distinct >= 1 && distinct <= 10000, "--distinct",
-                  "--distinct must be in [1, 10000]");
-  ULBA_CHECK_FLAG(v, serve_batch >= 1 && serve_batch <= 4096, "--serve-batch",
-                  "--serve-batch must be in [1, 4096]");
-  ULBA_CHECK_FLAG(v, cache_capacity >= 1, "--cache-capacity",
-                  "--cache-capacity must be at least 1");
-  ULBA_CHECK_FLAG(v, cache_shards >= 1 && cache_shards <= 64, "--cache-shards",
-                  "--cache-shards must be in [1, 64]");
-  ULBA_CHECK_FLAG(v, mode == "grid" || mode == "dp", "--mode",
-                  "--mode must be 'grid' (sigma+ sweep) or 'dp' (exact DP)");
-  ULBA_CHECK_FLAG(v, alpha_grid >= 1 && alpha_grid <= 1000, "--alpha-grid",
-                  "--alpha-grid must be in [1, 1000]");
-  v.raise_first();
+  ULBA_REQUIRE(clients >= 1 && clients <= 64, "--clients must be in [1, 64]");
+  ULBA_REQUIRE(requests >= 1 && requests <= 100000,
+               "--requests must be in [1, 100000]");
+  ULBA_REQUIRE(distinct >= 1 && distinct <= 10000,
+               "--distinct must be in [1, 10000]");
+  ULBA_REQUIRE(serve_batch >= 1 && serve_batch <= 4096,
+               "--serve-batch must be in [1, 4096]");
+  ULBA_REQUIRE(cache_capacity >= 1, "--cache-capacity must be at least 1");
+  ULBA_REQUIRE(cache_shards >= 1 && cache_shards <= 64,
+               "--cache-shards must be in [1, 64]");
+  ULBA_REQUIRE(mode == "grid" || mode == "dp",
+               "--mode must be 'grid' (sigma+ sweep) or 'dp' (exact DP)");
+  ULBA_REQUIRE(alpha_grid >= 1 && alpha_grid <= 1000,
+               "--alpha-grid must be in [1, 1000]");
 
   ServeTrafficOptions options;
   options.clients = static_cast<int>(clients);
@@ -962,81 +879,6 @@ int run_serve(const FlagMap& flags, std::ostream& out) {
   out << "\n" << (ok ? "service contract holds" : "SERVICE CONTRACT VIOLATED")
       << "\n";
   return ok ? 0 : 1;
-}
-
-int run_anticipation(const FlagMap& flags, std::ostream& out) {
-  flags.require_known({"ranks", "pes", "strong", "seed", "iterations",
-                       "noise", "ns-scale", "fli-threshold"});
-  const std::int64_t ranks = flags.get_int("ranks", 4);
-  const std::int64_t pes = flags.get_int("pes", 8);
-  const std::int64_t strong = flags.get_int("strong", 1);
-  const std::uint64_t seed = flags.get_seed("seed", 11);
-  const std::int64_t iterations = flags.get_int("iterations", 60);
-  const double noise = flags.get_double("noise", 0.4);
-  const double ns_scale = flags.get_double("ns-scale", 2.0);
-  const double fli_threshold = flags.get_double("fli-threshold", 0.25);
-  ULBA_REQUIRE(ranks >= 2 && ranks <= 64, "--ranks must be in [2, 64]");
-  ULBA_REQUIRE(pes >= 2, "--pes must be at least 2");
-  ULBA_REQUIRE(strong >= 1 && strong <= pes, "--strong must be in [1, pes]");
-  ULBA_REQUIRE(iterations >= 8, "--iterations must be at least 8");
-  ULBA_REQUIRE(noise > 0.0 && noise < 1.0, "--noise must be in (0, 1)");
-  ULBA_REQUIRE(ns_scale > 0.0, "--ns-scale must be positive");
-  ULBA_REQUIRE(fli_threshold > 0.0, "--fli-threshold must be positive");
-
-  out << "Anticipation vs. reaction (the paper's core claim on real "
-         "hardware):\nULBA-scheduled anticipatory LB (model trigger) against "
-         "reactive LB driven\nby the MEASURED trigger — degradation "
-         "(Algorithm 1 on steady_clock maxima)\nand fli ((max-avg)/avg of "
-         "the gathered per-rank burn times >= "
-      << fli_threshold << ") —\nunder injected multi-tenant burn noise.\n\n"
-      << "(" << ranks << " SPMD ranks, " << pes << " PEs, " << iterations
-      << " iterations, seed " << seed << ", ns_scale " << ns_scale
-      << ";\n wall numbers are real and noisy — re-run for another "
-         "sample)\n\n";
-
-  const std::vector<double> noise_levels{0.0, noise / 2.0, noise};
-  const std::vector<AnticipationReactiveRow> rows =
-      anticipation_vs_reactive_sweep(ranks, pes, strong, seed, iterations,
-                                     noise_levels, ns_scale, fli_threshold);
-
-  support::Table table({"variant", "noise", "wall [s]", "compute [s]",
-                        "LB [s]", "LB calls", "mean util", "mean fli"});
-  for (const AnticipationReactiveRow& r : rows)
-    table.add_row({r.variant, support::Table::num(r.noise, 2),
-                   support::Table::num(r.wall_seconds, 3),
-                   support::Table::num(r.compute_seconds, 3),
-                   support::Table::num(r.lb_seconds, 3),
-                   std::to_string(r.lb_count),
-                   support::Table::pct(r.utilization, 1),
-                   support::Table::num(r.mean_fli, 3)});
-  out << table.render(2) << "\n";
-
-  // Win/loss per noise level: anticipation's measured wall clock against
-  // the better of the two reactive variants.
-  const std::size_t variants_per_level = rows.size() / noise_levels.size();
-  std::int64_t wins = 0;
-  out << "win/loss (anticipation wall clock vs. best reactive):\n";
-  for (std::size_t n = 0; n < noise_levels.size(); ++n) {
-    const AnticipationReactiveRow& ant = rows[n * variants_per_level];
-    double best_reactive = std::numeric_limits<double>::infinity();
-    std::string best_name;
-    for (std::size_t v = 1; v < variants_per_level; ++v) {
-      const AnticipationReactiveRow& r = rows[n * variants_per_level + v];
-      if (r.wall_seconds < best_reactive) {
-        best_reactive = r.wall_seconds;
-        best_name = r.variant;
-      }
-    }
-    const bool win = ant.wall_seconds < best_reactive;
-    wins += win ? 1 : 0;
-    out << "  noise " << support::Table::num(ant.noise, 2) << ": "
-        << (win ? "WIN " : "LOSS") << "  (" << ant.wall_seconds << " s vs "
-        << best_reactive << " s " << best_name << ")\n";
-  }
-  out << "\nanticipation wins " << wins << "/" << noise_levels.size()
-      << " noise level(s)  (same dynamics everywhere: "
-      << rows.front().eroded_cells << " cells eroded per run)\n";
-  return 0;
 }
 
 }  // namespace ulba::cli

@@ -67,12 +67,4 @@ int run_interval_quality(const FlagMap& flags, std::ostream& out);
 /// structurally checked, not golden-matched. Exit 0 iff the verdicts pass.
 int run_serve(const FlagMap& flags, std::ostream& out);
 
-/// `anticipation` — the paper's core claim falsified on real hardware:
-/// ULBA-scheduled anticipatory LB (model trigger) vs. reactive
-/// measured-trigger LB (degradation and fli criteria) under injected burn
-/// noise, with a measured wall/utilization/LB-count win/loss table. Wall
-/// numbers are real — this subcommand is structurally checked, not
-/// golden-matched.
-int run_anticipation(const FlagMap& flags, std::ostream& out);
-
 }  // namespace ulba::cli

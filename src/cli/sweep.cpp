@@ -519,72 +519,4 @@ std::vector<DistributedScalingRow> distributed_erosion_scaling(
   return rows;
 }
 
-std::vector<AnticipationReactiveRow> anticipation_vs_reactive_sweep(
-    std::int64_t ranks, std::int64_t pe_count, std::int64_t strong_rocks,
-    std::uint64_t seed, std::int64_t iterations,
-    std::span<const double> noise_levels, double ns_scale,
-    double fli_threshold) {
-  ULBA_REQUIRE(ranks > 1, "the anticipation sweep runs measured-time mode "
-                          "(ranks > 1)");
-  ULBA_REQUIRE(!noise_levels.empty(), "need at least one noise level");
-
-  // Shrunk geometry: every cell burns real CPU for `iterations` iterations,
-  // and the table holds |noise_levels| x 3 cells.
-  erosion::AppConfig base =
-      scaled_app_config(pe_count, strong_rocks, erosion::Method::kUlba, seed);
-  base.columns_per_pe = 64;
-  base.rows = 96;
-  base.rock_radius = 24;
-  base.iterations = iterations > 0 ? iterations : 60;
-  base.ranks = ranks;
-  base.measure_time = true;
-  base.ns_scale = ns_scale;
-  base.fli_threshold = fli_threshold;
-
-  struct Variant {
-    const char* label;
-    erosion::Method method;
-    erosion::TriggerSource source;
-    erosion::TriggerCriterion criterion;
-  };
-  // The paper's claim, falsifiable on real hardware: scheduling LB ahead of
-  // the imbalance (ULBA, model clock) vs. reacting to the imbalance the
-  // hardware already shows (standard method, measured clock) — the
-  // Mohammed-et-al.-style reactive baselines.
-  const Variant variants[] = {
-      {"anticipation", erosion::Method::kUlba, erosion::TriggerSource::kModel,
-       erosion::TriggerCriterion::kDegradation},
-      {"reactive-deg", erosion::Method::kStandard,
-       erosion::TriggerSource::kMeasured,
-       erosion::TriggerCriterion::kDegradation},
-      {"reactive-fli", erosion::Method::kStandard,
-       erosion::TriggerSource::kMeasured, erosion::TriggerCriterion::kFli},
-  };
-
-  std::vector<AnticipationReactiveRow> rows;
-  for (const double noise : noise_levels) {
-    for (const Variant& v : variants) {
-      erosion::AppConfig cfg = base;
-      cfg.method = v.method;
-      cfg.trigger_source = v.source;
-      cfg.trigger_criterion = v.criterion;
-      cfg.mt_noise = noise;
-      const erosion::RunResult run = erosion::ErosionApp(cfg).run();
-      AnticipationReactiveRow row;
-      row.variant = v.label;
-      row.noise = noise;
-      row.wall_seconds = run.measured.wall_seconds;
-      row.compute_seconds = run.measured.compute_seconds;
-      row.lb_seconds = run.measured.lb_seconds;
-      row.utilization = run.measured.utilization;
-      row.lb_count = run.lb_count;
-      row.mean_fli =
-          run.measured.fli.empty() ? 0.0 : support::mean(run.measured.fli);
-      row.eroded_cells = run.eroded_cells;
-      rows.push_back(std::move(row));
-    }
-  }
-  return rows;
-}
-
 }  // namespace ulba::cli

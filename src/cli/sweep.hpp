@@ -262,39 +262,4 @@ struct DistributedScalingRow {
     std::span<const std::string> exchanges, std::int64_t pe_count,
     std::int64_t strong_rocks, std::uint64_t seed, std::int64_t iterations);
 
-// ---------------------------------------------------------------------------
-// Anticipation-vs-reactive falsification sweep (ulba_cli anticipation,
-// bench_anticipation; `erosion --trigger-source` drives the same ErosionApp)
-// ---------------------------------------------------------------------------
-
-/// One (variant, noise level) cell of the paper's core-claim falsification
-/// harness: ULBA-scheduled anticipatory LB (model trigger) vs. reactive
-/// measured-trigger LB (degradation and fli criteria), all in measured-time
-/// mode under injected multi-tenant burn noise.
-struct AnticipationReactiveRow {
-  std::string variant;  ///< "anticipation" | "reactive-deg" | "reactive-fli"
-  double noise = 0.0;   ///< mt_noise amplitude of this cell
-  double wall_seconds = 0.0;     ///< measured whole-run steady_clock
-  double compute_seconds = 0.0;  ///< measured Σ iteration maxima
-  double lb_seconds = 0.0;       ///< measured Σ LB-step costs
-  double utilization = 0.0;      ///< measured mean utilization
-  std::int64_t lb_count = 0;
-  double mean_fli = 0.0;  ///< mean measured fractional imbalance over the run
-  std::int64_t eroded_cells = 0;  ///< dynamics check: identical per seed
-};
-
-/// Run the scaled (shrunk) erosion app at `ranks` SPMD ranks in measured
-/// mode: for each noise level, anticipation (ULBA, model trigger) against
-/// the two reactive measured-trigger variants (standard method; degradation
-/// and fli criteria). `iterations` ≤ 0 picks a sweep default. Wall numbers
-/// are real and noisy; the dynamics (eroded cells) are identical across all
-/// cells of one seed. Runs sequentially (each cell already spawns `ranks`
-/// SPMD threads).
-[[nodiscard]] std::vector<AnticipationReactiveRow>
-anticipation_vs_reactive_sweep(std::int64_t ranks, std::int64_t pe_count,
-                               std::int64_t strong_rocks, std::uint64_t seed,
-                               std::int64_t iterations,
-                               std::span<const double> noise_levels,
-                               double ns_scale, double fli_threshold);
-
 }  // namespace ulba::cli

@@ -19,7 +19,6 @@
 #include "lb/stripe_partitioner.hpp"
 #include "runtime/spmd.hpp"
 #include "support/burn.hpp"
-#include "support/counter_rng.hpp"
 #include "support/require.hpp"
 
 namespace ulba::erosion {
@@ -42,40 +41,6 @@ std::string alpha_policy_name(AlphaPolicy policy) {
       return "model";
   }
   return "fixed";
-}
-
-TriggerSource trigger_source_from_name(const std::string& name) {
-  if (name == "model") return TriggerSource::kModel;
-  if (name == "measured") return TriggerSource::kMeasured;
-  throw std::invalid_argument("unknown trigger source '" + name +
-                              "' (accepted: model, measured)");
-}
-
-std::string trigger_source_name(TriggerSource source) {
-  switch (source) {
-    case TriggerSource::kModel:
-      return "model";
-    case TriggerSource::kMeasured:
-      return "measured";
-  }
-  return "model";
-}
-
-TriggerCriterion trigger_criterion_from_name(const std::string& name) {
-  if (name == "degradation") return TriggerCriterion::kDegradation;
-  if (name == "fli") return TriggerCriterion::kFli;
-  throw std::invalid_argument("unknown trigger criterion '" + name +
-                              "' (accepted: degradation, fli)");
-}
-
-std::string trigger_criterion_name(TriggerCriterion criterion) {
-  switch (criterion) {
-    case TriggerCriterion::kDegradation:
-      return "degradation";
-    case TriggerCriterion::kFli:
-      return "fli";
-  }
-  return "degradation";
 }
 
 namespace {
@@ -413,16 +378,11 @@ class LbController {
 ///
 /// With AppConfig::measure_time, every rank also burns real CPU ∝ its
 /// stripe's workload per iteration (and ∝ its migration payload per LB
-/// step, optionally perturbed by the `mt_noise` interference model), and a
-/// steady_clock track — iteration maxima, measured degradation, timing-based
-/// fractional imbalance, per-LB-step cost — is recorded into
-/// RunResult::measured. Under TriggerSource::kModel the LB verdicts still
-/// come from the virtual-time controller, so the trajectory is bit-identical
-/// to the model-time run: the measurements ride alongside the model, they
-/// never steer it. Under TriggerSource::kMeasured the loop closes: the main
-/// rank runs Algorithm 1 (or the fli test) on the gathered real timings and
-/// broadcasts THAT verdict, so the LB schedule follows the hardware — the
-/// virtual track is still recorded, now as the report-only side.
+/// step), and a steady_clock track — iteration maxima, measured
+/// degradation, per-LB-step cost — is recorded into RunResult::measured.
+/// The LB verdicts always come from the virtual-time controller, so the
+/// trajectory is bit-identical to the model-time run: the measurements ride
+/// alongside the model, they never steer it.
 RunResult run_distributed(const AppConfig& config,
                           const DomainConfig& domain_config) {
   using Clock = std::chrono::steady_clock;
@@ -449,22 +409,10 @@ RunResult run_distributed(const AppConfig& config,
         const double byte_scale =
             config.bytes_per_cell / config.flop_per_cell;
         const bool mt = config.measure_time;
-        const bool measured_src =
-            config.trigger_source == TriggerSource::kMeasured;
         MeasuredTimes measured;
-        // Main rank: Algorithm 1 on the real clock. Report-only under the
-        // model source; the deciding trigger under the measured source.
+        // Main rank: Algorithm 1's degradation accounting on the real clock
+        // (report-only — it never decides an LB step).
         core::AdaptiveTrigger measured_trigger;
-        // Running average of the observed (allreduced-max) LB-step costs —
-        // the measured threshold. The prior is never consulted: before the
-        // first observation the measured trigger bootstraps its threshold
-        // from the reference iteration time instead (an LB step is assumed
-        // to cost about one quiet iteration, the cheap-probe bootstrap).
-        core::LbCostEstimator measured_lb_cost(0.0);
-        // Interference model: position-addressed noise, so the burn
-        // perturbation of (rank, iter) is deterministic per seed and
-        // independent of the placement/dynamics/gossip streams.
-        const support::CounterRng noise_rng(config.seed, 0x6E6F697365ull);
         double measured_util_sum = 0.0;
         std::int64_t measured_util_iters = 0;
         const auto run0 = Clock::now();
@@ -481,24 +429,11 @@ RunResult run_distributed(const AppConfig& config,
           if (mt) {
             double owned = 0.0;
             for (const double w : domain.local_column_weights()) owned += w;
-            if (config.mt_noise > 0.0) {
-              // 1 + noise·u, u uniform on [−1, 1): multi-tenant
-              // interference scaling this rank's burn this iteration.
-              const double u =
-                  2.0 * noise_rng.uniform01(
-                            static_cast<std::uint64_t>(comm.rank()),
-                            static_cast<std::uint64_t>(iter)) -
-                  1.0;
-              owned *= 1.0 + config.mt_noise * u;
-            }
             const auto it0 = Clock::now();
             support::burn(owned, config.ns_scale);
             const double my_seconds = seconds_since(it0);
             const double step_max = comm.allreduce(my_seconds, max_op);
             const double step_sum = comm.allreduce(my_seconds);
-            // Timing-based imbalance of THIS iteration (collective, same
-            // value on every rank): the reactive fli criterion's signal.
-            const double fli = domain.fractional_load_imbalance(my_seconds);
             if (main) {
               measured.iteration_seconds.push_back(step_max);
               measured.compute_seconds += step_max;
@@ -509,7 +444,6 @@ RunResult run_distributed(const AppConfig& config,
               }
               measured_trigger.record_iteration(step_max);
               measured.degradation.push_back(measured_trigger.degradation());
-              measured.fli.push_back(fli);
             }
           }
 
@@ -517,37 +451,13 @@ RunResult run_distributed(const AppConfig& config,
           (void)domain.step_counter(dynamics_seed, iter,
                                     pool ? &*pool : nullptr);
 
-          // The trigger decides at the main rank; the verdict is broadcast
-          // so every rank enters (or skips) the LB collectives in lockstep.
+          // The virtual-time trigger decides at the main rank; the verdict
+          // is broadcast so every rank enters (or skips) the LB collectives
+          // in lockstep.
           std::uint8_t balance_now = 0;
-          if (main) {
-            // Always run the virtual-time controller's trigger half — it
-            // records the model-clock degradation/threshold trace either
-            // way. Under the model source its verdict decides; under the
-            // measured source it is recorded and discarded.
-            const bool model_verdict =
-                ctl->should_balance(iter, domain.total_workload());
-            if (!measured_src) {
-              balance_now = model_verdict ? 1 : 0;
-            } else {
-              bool fire = false;
-              switch (config.trigger_criterion) {
-                case TriggerCriterion::kDegradation: {
-                  const double threshold =
-                      measured_lb_cost.observations() > 0
-                          ? measured_lb_cost.average()
-                          : measured_trigger.reference_time();
-                  fire = measured_trigger.should_balance(threshold);
-                  break;
-                }
-                case TriggerCriterion::kFli:
-                  fire = measured.fli.back() >= config.fli_threshold;
-                  break;
-              }
-              const bool last_iteration = iter + 1 >= config.iterations;
-              balance_now = (!last_iteration && fire) ? 1 : 0;
-            }
-          }
+          if (main)
+            balance_now =
+                ctl->should_balance(iter, domain.total_workload()) ? 1 : 0;
           comm.broadcast(balance_now, 0);
           if (balance_now != 0) {
             const auto lb0 = Clock::now();
@@ -577,9 +487,6 @@ RunResult run_distributed(const AppConfig& config,
                 measured.migration_seconds += mig_max;
                 measured.lb_step_seconds.push_back(lb_max);
                 measured.lb_seconds += lb_max;
-                // The observed real cost of this LB step calibrates the
-                // measured trigger's threshold (principle of persistence).
-                measured_lb_cost.observe(lb_max);
                 measured_trigger.reset();
               }
             }
@@ -656,23 +563,6 @@ void AppConfig::validate() const {
                "measured-time mode runs on the SPMD runtime (ranks > 1)");
   ULBA_REQUIRE(ns_scale > 0.0 && migration_scale >= 0.0,
                "ns_scale must be positive and migration_scale nonnegative");
-  ULBA_REQUIRE(trigger_source == TriggerSource::kModel || measure_time,
-               "the measured trigger source needs measured-time mode "
-               "(ranks > 1 with measure_time)");
-  ULBA_REQUIRE(trigger_source == TriggerSource::kModel ||
-                   trigger_mode == TriggerMode::kAdaptive,
-               "the measured trigger source drives the adaptive trigger "
-               "only (periodic/never schedules are clock-independent)");
-  ULBA_REQUIRE(trigger_criterion == TriggerCriterion::kDegradation ||
-                   trigger_source == TriggerSource::kMeasured,
-               "a trigger criterion other than degradation requires the "
-               "measured trigger source");
-  ULBA_REQUIRE(fli_threshold > 0.0,
-               "the fli trigger threshold must be positive");
-  ULBA_REQUIRE(mt_noise >= 0.0 && mt_noise < 1.0,
-               "measured-time burn noise must lie in [0, 1)");
-  ULBA_REQUIRE(mt_noise == 0.0 || measure_time,
-               "burn noise only exists in measured-time mode");
   (void)lb::make_partitioner(partitioner);  // throws on unknown names
   (void)exchange_mode_from_name(exchange);  // throws on unknown names
   comm.validate();

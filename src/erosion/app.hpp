@@ -65,43 +65,6 @@ enum class TriggerMode {
   kNever,     ///< static decomposition: no LB at all
 };
 
-/// Which clock feeds the LB trigger (the measured-signal control loop).
-enum class TriggerSource {
-  /// Verdicts from the virtual-time LbController — the historical contract:
-  /// bit-identical RunResult across threads/ranks/mt.
-  kModel,
-  /// Verdicts from real steady_clock signals gathered on the SPMD runtime
-  /// (requires ranks > 1 with measure_time): the per-iteration burn maxima
-  /// feed a measured AdaptiveTrigger and the observed LB-step costs feed a
-  /// measured LbCostEstimator, HemoCell-style (gather timings, decide
-  /// centrally, broadcast the verdict). The LB schedule becomes
-  /// wall-clock-dependent — structural invariants hold, bytes do not.
-  kMeasured,
-};
-
-/// Parse "model" | "measured" (the `--trigger-source` vocabulary); throws
-/// std::invalid_argument on anything else.
-[[nodiscard]] TriggerSource trigger_source_from_name(const std::string& name);
-[[nodiscard]] std::string trigger_source_name(TriggerSource source);
-
-/// Which measured signal a measured-source trigger fires on.
-enum class TriggerCriterion {
-  /// Zhai-style degradation accounting on the measured iteration maxima,
-  /// thresholded at the measured average LB-step cost (Algorithm 1 run on
-  /// the real clock).
-  kDegradation,
-  /// The timing-based fractional load imbalance (max − avg)/avg over the
-  /// gathered per-rank burn times, thresholded at `fli_threshold` — the
-  /// classic reactive imbalance test (cf. Mohammed et al.'s two-level DLB).
-  kFli,
-};
-
-/// Parse "degradation" | "fli" (the `--trigger-criterion` vocabulary);
-/// throws std::invalid_argument on anything else.
-[[nodiscard]] TriggerCriterion trigger_criterion_from_name(
-    const std::string& name);
-[[nodiscard]] std::string trigger_criterion_name(TriggerCriterion criterion);
-
 struct AppConfig {
   std::int64_t pe_count = 32;
   std::int64_t columns_per_pe = 1000;  ///< paper: 1000 (1 M cells/PE)
@@ -167,32 +130,15 @@ struct AppConfig {
   /// additionally burns real CPU proportional to its stripe's workload each
   /// iteration (support::burn at `ns_scale`) and to its migration payload
   /// at each LB step (× `migration_scale`), and the run reports
-  /// steady_clock measurements in RunResult::measured — while, under the
-  /// default TriggerSource::kModel, the LB verdicts keep coming from the
-  /// virtual-time controller, so the dynamics (eroded cells, LB schedule,
-  /// the whole virtual RunResult) stay bit-identical to the model-time run
-  /// of the same seed.
+  /// steady_clock measurements in RunResult::measured — report-only: the LB
+  /// verdicts keep coming from the virtual-time controller, so the dynamics
+  /// (eroded cells, LB schedule, the whole virtual RunResult) stay
+  /// bit-identical to the model-time run of the same seed.
   bool measure_time = false;
   /// Busy-loop multiply-adds per unit of cell workload (measured mode).
   double ns_scale = 4.0;
   /// Real CPU cost factor per migrated payload byte (measured mode).
   double migration_scale = 8.0;
-  /// Multiplicative burn noise of the measured mode, in [0, 1): each rank's
-  /// per-iteration burn workload is scaled by 1 + noise·u with u uniform on
-  /// [−1, 1), drawn position-addressed from a dedicated CounterRng stream at
-  /// (rank, iteration) — deterministic per seed, independent of the
-  /// dynamics streams. Models multi-tenant interference; the knob the
-  /// anticipation-vs-reactive falsification sweep turns. 0 = no noise.
-  double mt_noise = 0.0;
-  /// Which clock feeds the LB trigger (see TriggerSource). kMeasured
-  /// requires measured mode and the adaptive trigger.
-  TriggerSource trigger_source = TriggerSource::kModel;
-  /// Which measured signal a kMeasured trigger fires on (see
-  /// TriggerCriterion). Ignored under kModel.
-  TriggerCriterion trigger_criterion = TriggerCriterion::kDegradation;
-  /// Firing threshold of TriggerCriterion::kFli: balance when the measured
-  /// fractional load imbalance (max − avg)/avg reaches this value.
-  double fli_threshold = 0.25;
 
   /// E-X4 extension (the paper's future-work item): how ULBA adapts α at
   /// each LB step from the gossip-estimated overloading state. The policy
@@ -223,8 +169,8 @@ struct IterationRecord {
 
 /// Wall-clock measurements of the measured-time distributed mode
 /// (AppConfig::measure_time): everything here comes from steady_clock on
-/// the SPMD runtime — iteration maxima, the measured degradation the
-/// adaptive trigger would see, and the cost of each real LB step (gather +
+/// the SPMD runtime — iteration maxima, the measured degradation Algorithm 1
+/// would see on the real clock, and the cost of each real LB step (gather +
 /// Algorithm-2 + column/disc migration messages + migration burn). All-zero
 /// when measured mode is off. The virtual-time fields of the enclosing
 /// RunResult are bit-identical with and without measured mode.
@@ -237,11 +183,7 @@ struct MeasuredTimes {
   /// burn rounded to zero are excluded from numerator AND denominator.
   double utilization = 0.0;
   std::vector<double> iteration_seconds;  ///< allreduced max, per iteration
-  std::vector<double> degradation;  ///< measured-trigger trace, per iteration
-  /// Timing-based fractional load imbalance (max − avg)/avg over the
-  /// gathered per-rank burn times, per iteration (length == iterations) —
-  /// the signal `--trigger-criterion fli` fires on.
-  std::vector<double> fli;
+  std::vector<double> degradation;  ///< measured degradation, per iteration
   std::vector<double> lb_step_seconds;  ///< parallel to lb_iterations
 };
 

@@ -508,11 +508,7 @@ double DistributedDomain::fractional_load_imbalance() const {
   // per-rank sums of the local stripe weights.
   double local = 0.0;
   for (const double w : weights_) local += w;
-  return fractional_load_imbalance(local);
-}
-
-double DistributedDomain::fractional_load_imbalance(double local_value) const {
-  const std::vector<double> loads = comm_->allgather(local_value);
+  const std::vector<double> loads = comm_->allgather(local);
   double max = 0.0, sum = 0.0;
   for (const double l : loads) {
     max = std::max(max, l);

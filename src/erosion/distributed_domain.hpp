@@ -190,12 +190,6 @@ class DistributedDomain {
   /// sums of local_column_weights(). Identical on every rank; 0 when
   /// perfectly balanced.
   [[nodiscard]] double fractional_load_imbalance() const;
-  /// Collective: the same (max − avg)/avg fold over a caller-provided
-  /// per-rank value instead of the model weights — pass this rank's
-  /// measured iteration burn time to get the TIMING-based imbalance the
-  /// reactive `--trigger-criterion fli` consumes (SNIPPETS.md Snippets 2–3:
-  /// gather per-rank timings, decide centrally). Identical on every rank.
-  [[nodiscard]] double fractional_load_imbalance(double local_value) const;
 
   /// Replicated global counters — all bit-identical to the serial domain.
   [[nodiscard]] double total_workload() const noexcept { return total_; }

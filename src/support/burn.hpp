@@ -1,7 +1,8 @@
 // Calibrated busy-work: the knob that turns modeled FLOP into real
-// wall-clock time. Every measured-time substrate (the thread-backed
-// erosion app, the measured-time SPMD distributed mode) burns through this
-// one implementation so their "seconds per unit workload" agree.
+// wall-clock time. The measured-time SPMD distributed mode burns through
+// this one implementation, for the per-iteration stripe workload and the
+// per-LB-step migration payload alike, so both share one "seconds per unit
+// workload".
 #pragma once
 
 #include <chrono>

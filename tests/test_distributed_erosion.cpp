@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -427,6 +429,51 @@ TEST(DistributedErosion, RebalanceMigratesStateAsMessagesAndMatchesModel) {
   });
 }
 
+/// The decomposition-level imbalance (max rank load − avg)/avg is one value
+/// on every rank, bit-equal to the same fold over the per-rank stripe sums
+/// of the gathered weights — also after a mid-run rebalance moved the cut.
+TEST(DistributedErosion, FractionalLoadImbalanceMatchesGatheredStripeSums) {
+  support::Rng config_rng(1313);
+  bool any_imbalanced = false;
+  for (int trial = 0; trial < 3; ++trial) {
+    const DomainConfig cfg = testing::random_domain_config(config_rng);
+    const std::uint64_t seed = 60 + static_cast<std::uint64_t>(trial);
+    for (const int ranks : {2, 4}) {
+      if (ranks > cfg.columns) continue;
+      runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
+        DistributedDomain domain(cfg, comm, shared_partitioner("greedy"));
+        for (int s = 0; s < 10; ++s) {
+          (void)domain.step_counter(seed, s);
+          if (s == 4) (void)domain.rebalance();
+        }
+        const double imbalance = domain.fractional_load_imbalance();
+        const std::vector<double> every_rank = comm.allgather(imbalance);
+        const std::vector<double> full = domain.gather_column_weights(0);
+        if (comm.rank() != 0) return;
+        const std::string what = "trial " + std::to_string(trial) +
+                                 ", ranks " + std::to_string(ranks);
+        for (const double v : every_rank) EXPECT_EQ(v, imbalance) << what;
+        // Stripe sums left to right, then the same max/sum fold in rank
+        // order as the collective.
+        const auto& b = domain.rank_boundaries();
+        double max = 0.0, sum = 0.0;
+        for (std::size_t r = 0; r + 1 < b.size(); ++r) {
+          double load = 0.0;
+          for (auto x = b[r]; x < b[r + 1]; ++x)
+            load += full[static_cast<std::size_t>(x)];
+          max = std::max(max, load);
+          sum += load;
+        }
+        const double avg = sum / static_cast<double>(ranks);
+        EXPECT_EQ(imbalance, avg > 0.0 ? (max - avg) / avg : 0.0) << what;
+        EXPECT_GE(imbalance, 0.0) << what;
+        any_imbalanced = any_imbalanced || imbalance > 0.0;
+      });
+    }
+  }
+  EXPECT_TRUE(any_imbalanced) << "no trial exercised a nonzero imbalance";
+}
+
 TEST(DistributedErosion, DiscHandOffRoundTripsBitExactly) {
   support::Rng config_rng(123);
   const DomainConfig cfg = testing::random_domain_config(config_rng);
@@ -599,6 +646,37 @@ TEST(DistributedErosion, AppOneResultAcrossThreadsAndRanks) {
     dist_cfg.ranks = ranks;
     dist_cfg.threads = ranks == 4 ? 2 : 1;
     expect_same(dist_cfg, "ranks " + std::to_string(ranks));
+  }
+}
+
+/// App level: RunResult::rank_fractional_imbalance rates the final rank cut
+/// — 0 in process (no ranks), finite and nonnegative over R ranks, and
+/// untouched by the per-rank stepping pools (one trajectory, one cut).
+TEST(DistributedErosion, AppRankFractionalImbalanceIsThreadInvariant) {
+  erosion::AppConfig cfg;
+  cfg.pe_count = 16;
+  cfg.columns_per_pe = 48;
+  cfg.rows = 64;
+  cfg.rock_radius = 16;
+  cfg.iterations = 40;
+  cfg.seed = 3;
+  cfg.method = Method::kUlba;
+  cfg.bytes_per_cell = 256.0;
+  cfg.comm.latency_s = 1e-4;
+  cfg.comm.bandwidth_Bps = 2e9;
+
+  EXPECT_EQ(ErosionApp(cfg).run().rank_fractional_imbalance, 0.0);
+  for (const std::int64_t ranks : {2, 4}) {
+    AppConfig one_thread = cfg;
+    one_thread.ranks = ranks;
+    AppConfig two_threads = one_thread;
+    two_threads.threads = 2;
+    const double a = ErosionApp(one_thread).run().rank_fractional_imbalance;
+    const double b = ErosionApp(two_threads).run().rank_fractional_imbalance;
+    const std::string what = "ranks " + std::to_string(ranks);
+    EXPECT_TRUE(std::isfinite(a)) << what;
+    EXPECT_GE(a, 0.0) << what;
+    EXPECT_EQ(a, b) << what;
   }
 }
 
