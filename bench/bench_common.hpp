@@ -14,12 +14,8 @@
 
 namespace ulba::bench {
 
-using cli::AlphaVariant;
 using cli::distributed_erosion_scaling;
 using cli::DistributedScalingRow;
-using cli::dynamic_alpha_grid;
-using cli::dynamic_alpha_model_bound;
-using cli::dynamic_alpha_variants;
 using cli::erosion_median_over_seeds;
 using cli::gossip_latency_table;
 using cli::instance_family_stats;

@@ -73,12 +73,6 @@ std::string erosion_help() {
          "serial run  [1]\n"
          "  --partitioner <name>   rank-stripe + LB cutting algorithm:\n"
          "                         greedy|rcb|optimal|stripe      [greedy]\n"
-         "  --exchange <mode>      per-step exchange of the distributed "
-         "stepper:\n"
-         "                         neighbor (halo neighbors + one reduce/"
-         "broadcast)\n"
-         "                         or alltoall (O(ranks^2) reference)  "
-         "[neighbor]\n"
          "  --ns-scale <r>         burn steps per unit workload (--mt)   "
          "[4.0]\n"
          "  --migration-scale <r>  burn factor per migrated byte (--mt)  "
@@ -116,22 +110,6 @@ std::string gossip_help() {
          "  --iterations <int>  erosion iterations             [120]\n"
          "  --alpha <0..1>      ULBA fraction                  [0.4]\n"
          "  --trials <int>      latency-table trials           [10]\n";
-}
-
-std::string dynamic_alpha_help() {
-  return "Dynamic alpha (E-X4, the paper's Section-V future-work item): "
-         "per-interval\nalpha driven by the gossip-estimated overloading "
-         "fraction — the fraction\nheuristic and the model-grid policy — "
-         "vs. fixed alpha and vs. the\ncentralized oracle, plus the exact "
-         "DP bound and a per-interval alpha trace.\n\n"
-         "options:\n"
-         "  --pes <int>         processing elements               [32]\n"
-         "  --seed <int>        base seed                         [11]\n"
-         "  --seeds <int>       seeds per configuration           [3]\n"
-         "  --iterations <int>  erosion iterations (0 = default)  [0]\n"
-         "  --alpha <0..1>      base/fixed ULBA fraction          [0.6]\n"
-         "  --rocks <int>       largest strong-rock count swept   [6]\n"
-         "  --instances <int>   DP-bound Table-II instances       [60]\n";
 }
 
 std::string interval_quality_help() {
@@ -230,12 +208,6 @@ const std::vector<Subcommand>& registry() {
        {},
        run_instances,
        instances_help},
-      {"dynamic-alpha",
-       "E-X4: per-interval alpha from the gossip-estimated overloading "
-       "fraction",
-       {},
-       run_dynamic_alpha,
-       dynamic_alpha_help},
       {"interval-quality",
        "Figure 2: sigma+ intervals vs. the heuristic search, DP-bounded",
        {},

@@ -149,8 +149,7 @@ int run_quickstart(const FlagMap& flags, std::ostream& out) {
 int run_erosion(const FlagMap& flags, std::ostream& out) {
   flags.require_known({"mt", "pes", "strong", "seed", "iterations", "alpha",
                        "columns-per-pe", "rows", "rock-radius", "threads",
-                       "ranks", "partitioner", "exchange", "ns-scale",
-                       "migration-scale"});
+                       "ranks", "partitioner", "ns-scale", "migration-scale"});
   const bool mt = flags.has("mt");
   const std::int64_t pe_count = flags.get_int("pes", mt ? 8 : 32);
   const std::int64_t strong = flags.get_int("strong", 1);
@@ -159,7 +158,6 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   const std::int64_t threads = flags.get_int("threads", 1);
   const std::int64_t ranks = flags.get_int("ranks", 1);
   const std::string partitioner = flags.get_string("partitioner", "greedy");
-  const std::string exchange = flags.get_string("exchange", "neighbor");
   const double ns_scale = flags.get_double("ns-scale", 4.0);
   const double migration_scale = flags.get_double("migration-scale", 8.0);
   ULBA_REQUIRE(pe_count >= 2, "--pes must be at least 2");
@@ -171,17 +169,13 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   ULBA_REQUIRE(ns_scale > 0.0 && migration_scale >= 0.0,
                "--ns-scale must be positive, --migration-scale nonnegative");
   // Real wall clock comes from the measured-time DISTRIBUTED mode, which
-  // keeps the full virtual-time knob set (partitioner, exchange, per-rank
-  // pools).
+  // keeps the full virtual-time knob set (partitioner, per-rank pools).
   ULBA_REQUIRE(!mt || ranks > 1,
                "--mt measures wall clock on the SPMD runtime; pass "
                "--ranks R --mt (R >= 2)");
   ULBA_REQUIRE(mt || (!flags.has("ns-scale") && !flags.has("migration-scale")),
                "--ns-scale/--migration-scale calibrate measured-time runs; "
                "pass --mt");
-  ULBA_REQUIRE(!flags.has("exchange") || ranks > 1,
-               "--exchange routes the distributed step exchange; pass "
-               "--ranks");
 
   erosion::AppConfig cfg;
   cfg.pe_count = pe_count;
@@ -198,7 +192,6 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   cfg.threads = threads;
   cfg.ranks = ranks;
   cfg.partitioner = partitioner;
-  cfg.exchange = exchange;
   cfg.measure_time = mt;
   cfg.ns_scale = ns_scale;
   cfg.migration_scale = migration_scale;
@@ -622,115 +615,6 @@ int run_instances(const FlagMap& flags, std::ostream& out) {
         << served_metrics.request_bytes << " B in / "
         << served_metrics.response_bytes << " B out\n";
   }
-  return 0;
-}
-
-int run_dynamic_alpha(const FlagMap& flags, std::ostream& out) {
-  flags.require_known(
-      {"pes", "seed", "seeds", "iterations", "alpha", "rocks", "instances"});
-  const std::int64_t pes = flags.get_int("pes", 32);
-  const std::uint64_t seed = flags.get_seed("seed", 11);
-  const std::int64_t seed_count = flags.get_int("seeds", 3);
-  const std::int64_t iterations = flags.get_int("iterations", 0);
-  const double alpha = flags.get_double("alpha", 0.6);
-  const std::int64_t max_rocks = flags.get_int("rocks", 6);
-  const std::int64_t instances = flags.get_int("instances", 60);
-  ULBA_REQUIRE(pes >= 4 && pes <= 256, "--pes must be in [4, 256]");
-  ULBA_REQUIRE(seed_count >= 1 && seed_count <= 64,
-               "--seeds must be in [1, 64]");
-  ULBA_REQUIRE(iterations == 0 || iterations >= 8,
-               "--iterations must be at least 8 (0 = scaled default)");
-  ULBA_REQUIRE(alpha > 0.0 && alpha <= 1.0, "--alpha must be in (0, 1]");
-  ULBA_REQUIRE(max_rocks >= 1 && 2 * max_rocks < pes,
-               "--rocks must be in [1, pes/2) — beyond half the PEs the "
-               "ULBA step demotes itself anyway");
-  ULBA_REQUIRE(instances >= 1 && instances <= 10000,
-               "--instances must be in [1, 10000]");
-
-  out << "Dynamic alpha (E-X4; paper Section V: \"dynamically adjust alpha "
-         "during\napplication execution\"): per-interval alpha from the "
-         "gossip-estimated\noverloading fraction, vs. fixed alpha and vs. "
-         "the centralized oracle.\n\n";
-
-  // Part 1 — model-level bound via the exact DP (GossipNetwork plays no role
-  // here: this is the most per-step α can EVER buy on Table-II instances).
-  const DynamicAlphaModelBound bound =
-      dynamic_alpha_model_bound(static_cast<std::size_t>(instances), seed);
-  out << "Model-level bound (exact DP over schedule x per-step alpha, "
-      << instances << " Table-II\ninstances, opt::optimal_alpha_schedule):\n"
-      << "  per-step alpha beats the best single fixed alpha by mean "
-      << support::Table::num(bound.mean_pct, 3) << " %, median "
-      << support::Table::num(bound.median_pct, 3) << " %,\n  max "
-      << support::Table::num(bound.max_pct, 2) << " %\n"
-      << "  (most of dynamic alpha's value is matching alpha to the CURRENT "
-         "overloading\n   set, not varying it step to step)\n\n";
-
-  // Part 2 — erosion-level sweep: the runtime policies against fixed α.
-  std::vector<std::int64_t> rock_counts;
-  for (const std::int64_t r : {1, 2, 4, 6, 8, 12, 16})
-    if (r <= max_rocks && 2 * r < pes) rock_counts.push_back(r);
-  const std::vector<AlphaVariant> variants = dynamic_alpha_variants(alpha);
-  std::vector<std::uint64_t> seeds;
-  for (std::int64_t s = 0; s < seed_count; ++s)
-    seeds.push_back(seed + 11 * static_cast<std::uint64_t>(s));
-  const auto medians =
-      dynamic_alpha_grid(variants, rock_counts, pes, seeds, iterations);
-
-  std::vector<std::string> headers{"variant"};
-  for (const std::int64_t r : rock_counts)
-    headers.push_back(std::to_string(r) + " strong");
-  support::Table table(headers);
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    std::vector<std::string> row{variants[v].label};
-    for (std::size_t ri = 0; ri < rock_counts.size(); ++ri)
-      row.push_back(support::Table::num(medians[v][ri], 3));
-    table.add_row(row);
-  }
-  out << "Erosion app (" << pes << " PEs, ULBA, base alpha " << alpha
-      << "), total virtual seconds, median of " << seeds.size()
-      << " seed(s):\n\n"
-      << table.render(2) << "\n";
-
-  // Part 3 — per-interval α trace of one gossip-fed model-policy run.
-  erosion::AppConfig trace_cfg = scaled_app_config(
-      pes, rock_counts.back(), erosion::Method::kUlba, seed);
-  if (iterations > 0) trace_cfg.iterations = iterations;
-  trace_cfg.alpha = alpha;
-  trace_cfg.alpha_policy = erosion::AlphaPolicy::kGossipModel;
-  const erosion::RunResult trace = erosion::ErosionApp(trace_cfg).run();
-  out << "Per-interval alpha trace (model policy, gossip-fed, "
-      << rock_counts.back() << " strong rock(s), seed " << seed << "):\n";
-  if (trace.lb_iterations.empty()) {
-    out << "  no LB step fired\n";
-  } else {
-    for (std::size_t i = 0; i < trace.lb_iterations.size(); ++i)
-      out << "  LB @ iteration " << trace.lb_iterations[i] << ": alpha "
-          << support::Table::num(trace.lb_alphas[i], 2) << "\n";
-  }
-  out << "\n";
-
-  // Findings: the gossip-fed model policy against the best fixed α of each
-  // column (the oracle a static tuning could at best reach), and against its
-  // own centralized-oracle variant (what staleness costs).
-  // dynamic_alpha_variants layout: [0..2] fixed, [3] fraction, [4] model
-  // (gossip), [5] model (oracle).
-  double worst_vs_fixed = -1e300, worst_vs_oracle = -1e300;
-  for (std::size_t ri = 0; ri < rock_counts.size(); ++ri) {
-    double best_fixed = 1e300;
-    for (std::size_t v = 0; v < 3; ++v)
-      best_fixed = std::min(best_fixed, medians[v][ri]);
-    worst_vs_fixed =
-        std::max(worst_vs_fixed, medians[4][ri] / best_fixed - 1.0);
-    worst_vs_oracle =
-        std::max(worst_vs_oracle, medians[4][ri] / medians[5][ri] - 1.0);
-  }
-  out << "findings:\n"
-      << "  model policy (gossip) vs best fixed alpha per rock count: "
-      << support::Table::pct(worst_vs_fixed, 2) << " worst case\n"
-      << "  gossip staleness vs the centralized oracle:            "
-      << support::Table::pct(worst_vs_oracle, 2) << " worst case\n"
-      << "  (the policy tracks the oracle fixed alpha without knowing the "
-         "rock count\n   in advance — the E-X4 loop closed end to end)\n";
   return 0;
 }
 

@@ -47,12 +47,6 @@ int run_gossip(const FlagMap& flags, std::ostream& out);
 /// standard method, at the drawn α and at the per-instance best α.
 int run_instances(const FlagMap& flags, std::ostream& out);
 
-/// `dynamic-alpha` — E-X4, the paper's §V future-work item: per-interval α
-/// driven by the gossip-estimated overloading fraction (fraction heuristic
-/// and model-grid policies) vs. fixed α and vs. the centralized oracle, plus
-/// the exact model-level DP bound and a per-interval α trace.
-int run_dynamic_alpha(const FlagMap& flags, std::ostream& out);
-
 /// `interval-quality` — Figure 2: gain of the σ⁺ LB intervals over the
 /// simulated-annealing search on random Table-II instances, with the exact
 /// DP optimum bounding both methods.

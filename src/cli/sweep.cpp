@@ -14,7 +14,6 @@
 #include "erosion/domain.hpp"
 #include "lb/partitioners.hpp"
 #include "opt/annealing.hpp"
-#include "opt/dp_alpha.hpp"
 #include "opt/dp_optimal.hpp"
 #include "opt/evaluate.hpp"
 #include "runtime/spmd.hpp"
@@ -341,82 +340,6 @@ std::vector<PartitionerEndToEnd> partitioner_end_to_end(
   return rows;
 }
 
-DynamicAlphaModelBound dynamic_alpha_model_bound(std::size_t instances,
-                                                 std::uint64_t seed) {
-  ULBA_REQUIRE(instances >= 1, "need at least one instance");
-  const auto margins = parallel_map(instances, [&](std::size_t i) {
-    support::Rng rng = support::Rng(seed).fork(i);
-    const core::InstanceGenerator gen;
-    // One exact-DP request per instance: best_seconds is the best single
-    // fixed α (the DP per grid point), schedule_seconds the free per-step-α
-    // DP over the same grid — the two sides of the dynamic-α margin.
-    core::ScheduleRequest request;
-    request.mode = core::EvalMode::kExactDp;
-    request.params = gen.sample(rng).params;
-    request.alpha_grid = opt::default_alpha_grid();
-    const core::ScheduleResponse response =
-        opt::evaluate_schedule_request(request);
-    return (1.0 - response.schedule_seconds / response.best_seconds) * 100.0;
-  });
-  const auto s = support::summarize(margins);
-  return {s.mean, s.median, s.max};
-}
-
-std::vector<AlphaVariant> dynamic_alpha_variants(double base_alpha) {
-  return {
-      {"fixed alpha=0.2", 0.2, erosion::AlphaPolicy::kFixed, false},
-      {"fixed alpha=0.4", 0.4, erosion::AlphaPolicy::kFixed, false},
-      {"fixed alpha=" + support::Table::num(base_alpha, 1), base_alpha,
-       erosion::AlphaPolicy::kFixed, false},
-      {"fraction (gossip)", base_alpha, erosion::AlphaPolicy::kGossipFraction,
-       false},
-      {"model (gossip)", base_alpha, erosion::AlphaPolicy::kGossipModel,
-       false},
-      {"model (oracle WIR)", base_alpha, erosion::AlphaPolicy::kGossipModel,
-       true},
-  };
-}
-
-std::vector<std::vector<double>> dynamic_alpha_grid(
-    std::span<const AlphaVariant> variants,
-    std::span<const std::int64_t> rock_counts, std::int64_t pe_count,
-    std::span<const std::uint64_t> seeds, std::int64_t iterations) {
-  ULBA_REQUIRE(!variants.empty() && !rock_counts.empty() && !seeds.empty(),
-               "dynamic-alpha sweep needs variants, rock counts, and seeds");
-  struct Case {
-    std::size_t variant;
-    std::size_t rock_idx;
-    std::uint64_t seed;
-  };
-  std::vector<Case> cases;
-  for (std::size_t v = 0; v < variants.size(); ++v)
-    for (std::size_t ri = 0; ri < rock_counts.size(); ++ri)
-      for (const std::uint64_t s : seeds) cases.push_back({v, ri, s});
-  const auto results = parallel_map(cases.size(), [&](std::size_t i) {
-    erosion::AppConfig cfg =
-        scaled_app_config(pe_count, rock_counts[cases[i].rock_idx],
-                          erosion::Method::kUlba, cases[i].seed);
-    if (iterations > 0) cfg.iterations = iterations;
-    cfg.alpha = variants[cases[i].variant].alpha;
-    cfg.alpha_policy = variants[cases[i].variant].policy;
-    cfg.oracle_wir = variants[cases[i].variant].oracle_wir;
-    return erosion::ErosionApp(cfg).run().total_seconds;
-  });
-
-  std::vector<std::vector<double>> medians(
-      variants.size(), std::vector<double>(rock_counts.size(), 0.0));
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    for (std::size_t ri = 0; ri < rock_counts.size(); ++ri) {
-      std::vector<double> xs;
-      for (std::size_t i = 0; i < cases.size(); ++i)
-        if (cases[i].variant == v && cases[i].rock_idx == ri)
-          xs.push_back(results[i]);
-      medians[v][ri] = support::median(xs);
-    }
-  }
-  return medians;
-}
-
 std::vector<IntervalQualitySample> interval_quality_sweep(
     std::size_t instances, std::int64_t sa_steps, std::uint64_t seed) {
   ULBA_REQUIRE(instances >= 1, "need at least one instance");
@@ -456,7 +379,7 @@ bool run_results_bit_equal(const erosion::RunResult& a,
       a.average_utilization != b.average_utilization ||
       a.eroded_cells != b.eroded_cells ||
       a.final_imbalance != b.final_imbalance ||
-      a.lb_iterations != b.lb_iterations || a.lb_alphas != b.lb_alphas ||
+      a.lb_iterations != b.lb_iterations ||
       a.iterations.size() != b.iterations.size())
     return false;
   for (std::size_t i = 0; i < a.iterations.size(); ++i) {

@@ -171,43 +171,6 @@ struct PartitionerEndToEnd {
     std::int64_t strong_rocks, std::span<const std::uint64_t> seeds);
 
 // ---------------------------------------------------------------------------
-// Dynamic-α ablation (ulba_cli dynamic-alpha, bench_ablation_dynamic_alpha)
-// ---------------------------------------------------------------------------
-
-/// Model-level upper bound on what dynamic α can ever buy: the exact DP over
-/// (schedule × per-step α) vs. the exact DP at the best single fixed α,
-/// over random Table-II instances (opt::optimal_alpha_schedule).
-struct DynamicAlphaModelBound {
-  double mean_pct = 0.0;
-  double median_pct = 0.0;
-  double max_pct = 0.0;
-};
-[[nodiscard]] DynamicAlphaModelBound dynamic_alpha_model_bound(
-    std::size_t instances, std::uint64_t seed);
-
-/// One α-selection variant of the erosion-level dynamic-α sweep.
-struct AlphaVariant {
-  std::string label;
-  double alpha = 0.4;  ///< the base/fixed α
-  erosion::AlphaPolicy policy = erosion::AlphaPolicy::kFixed;
-  bool oracle_wir = false;  ///< centralized zero-cost WIR reference
-};
-
-/// The standard comparison set: fixed α ∈ {0.2, 0.4, base}, then the
-/// gossip-fed fraction heuristic and model policy at the base α, then the
-/// model policy on the centralized oracle (the staleness-free reference).
-[[nodiscard]] std::vector<AlphaVariant> dynamic_alpha_variants(
-    double base_alpha);
-
-/// medians[v][r] = median over `seeds` of the total virtual seconds of
-/// variant v at rock_counts[r] strongly erodible rocks (ULBA method
-/// throughout; `iterations` ≤ 0 keeps the scaled config's default horizon).
-[[nodiscard]] std::vector<std::vector<double>> dynamic_alpha_grid(
-    std::span<const AlphaVariant> variants,
-    std::span<const std::int64_t> rock_counts, std::int64_t pe_count,
-    std::span<const std::uint64_t> seeds, std::int64_t iterations);
-
-// ---------------------------------------------------------------------------
 // Fig-2 interval-quality sweep (ulba_cli interval-quality,
 // bench_fig2_interval_quality)
 // ---------------------------------------------------------------------------

@@ -15,13 +15,6 @@ bool OverloadDetector::is_overloading(double own_wir,
   return support::z_score(own_wir, all) > threshold_;
 }
 
-std::vector<bool> OverloadDetector::flags(std::span<const double> all) const {
-  std::vector<bool> out(all.size());
-  for (std::size_t i = 0; i < all.size(); ++i)
-    out[i] = is_overloading(all[i], all);
-  return out;
-}
-
 std::int64_t OverloadDetector::count_overloading(
     std::span<const double> all) const {
   std::int64_t n = 0;

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace ulba::core {
 
@@ -22,9 +21,6 @@ class OverloadDetector {
   /// A degenerate population (zero spread) never flags anybody.
   [[nodiscard]] bool is_overloading(double own_wir,
                                     std::span<const double> all) const;
-
-  /// Flags for every member of the population.
-  [[nodiscard]] std::vector<bool> flags(std::span<const double> all) const;
 
   /// Number of overloading PEs in the population — the runtime estimate of
   /// the model's N.

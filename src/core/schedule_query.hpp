@@ -28,11 +28,12 @@ namespace ulba::core {
 /// How a request's candidate α's are evaluated.
 enum class EvalMode : std::uint8_t {
   /// Closed-form Eq. (4)/(5): Menon τ for the standard reference, the σ⁺
-  /// schedule per grid α. The runtime-policy / Table-II-sweep evaluation.
+  /// schedule per grid α. The `alpha-tuning`, Table-II-sweep and
+  /// `serve --mode grid` evaluation.
   kSigmaGrid = 0,
   /// Exact DP per grid α (opt::optimal_schedule, ULBA cost model) plus the
   /// free per-step-α DP (opt::optimal_alpha_schedule) as the recommended
-  /// schedule. The dynamic-alpha model-bound evaluation.
+  /// schedule. The `serve --mode dp` evaluation.
   kExactDp = 1,
 };
 
@@ -74,7 +75,7 @@ struct ScheduleResponse {
   double alpha_seconds = 0.0;
   /// Arg-min over the candidates. kSigmaGrid seeds the scan with the α = 0
   /// standard fallback (it can never lose); kExactDp scans the grid only —
-  /// the best-single-fixed-α reference of the dynamic-α bound.
+  /// the best-single-fixed-α reference of the per-step-α DP.
   double best_alpha = 0.0;
   double best_seconds = 0.0;
   /// (standard − recommended) / standard.

@@ -9,13 +9,9 @@
 #include "bsp/machine.hpp"
 #include "core/detector.hpp"
 #include "core/gossip.hpp"
-#include "core/intervals.hpp"
-#include "core/schedule.hpp"
 #include "core/trigger.hpp"
-#include "core/schedule_query.hpp"
 #include "erosion/distributed_domain.hpp"
 #include "lb/driver.hpp"
-#include "opt/evaluate.hpp"
 #include "lb/stripe_partitioner.hpp"
 #include "runtime/spmd.hpp"
 #include "support/burn.hpp"
@@ -23,87 +19,7 @@
 
 namespace ulba::erosion {
 
-AlphaPolicy alpha_policy_from_name(const std::string& name) {
-  if (name == "fixed") return AlphaPolicy::kFixed;
-  if (name == "fraction") return AlphaPolicy::kGossipFraction;
-  if (name == "model") return AlphaPolicy::kGossipModel;
-  throw std::invalid_argument("unknown alpha policy '" + name +
-                              "' (accepted: fixed, fraction, model)");
-}
-
-std::string alpha_policy_name(AlphaPolicy policy) {
-  switch (policy) {
-    case AlphaPolicy::kFixed:
-      return "fixed";
-    case AlphaPolicy::kGossipFraction:
-      return "fraction";
-    case AlphaPolicy::kGossipModel:
-      return "model";
-  }
-  return "fixed";
-}
-
 namespace {
-
-/// AlphaPolicy::kGossipFraction — shrink the base α as the detected
-/// overloading fraction grows (Eq. (11)'s overhead is ∝ αN/(P−N)); vanish
-/// at the 50 % fallback boundary. One definition serves both the per-PE
-/// application and the main-PE trace so they can never drift apart.
-double fraction_alpha(double base_alpha, std::int64_t n_hat,
-                      std::int64_t pe_count) {
-  return base_alpha * std::max(0.0, 1.0 - 2.0 * static_cast<double>(n_hat) /
-                                        static_cast<double>(pe_count));
-}
-
-/// AlphaPolicy::kGossipModel — pick the α the analytic model recommends for
-/// the REMAINING run, from one PE's (possibly stale) database view: estimate
-/// (N̂, â, m̂) by splitting the WIR population at the detector's flags, bind
-/// them to the live observables (Wtot, average LB cost, remaining γ), and
-/// grid-search α over {0, 0.1, …, 1} with the σ⁺ schedule as the predicted
-/// execution — the same sigma-grid ScheduleRequest the serve cache answers,
-/// evaluated through the shared opt::evaluate_schedule_request entry point.
-double model_grid_alpha(const core::OverloadDetector& detector,
-                        std::span<const double> view, std::int64_t pe_count,
-                        std::int64_t remaining_iterations, double wtot,
-                        double flops, double lb_cost_avg) {
-  const auto flags = detector.flags(view);
-  double over_sum = 0.0, base_sum = 0.0;
-  std::int64_t n_hat = 0;
-  for (std::size_t i = 0; i < view.size(); ++i) {
-    if (flags[i]) {
-      ++n_hat;
-      over_sum += view[i];
-    } else {
-      base_sum += view[i];
-    }
-  }
-  // Degenerate estimates fall back to α = 0 (standard behavior): nobody
-  // overloads, the ≥50 % rule would demote the step anyway, or the horizon
-  // is too short for an interval model to mean anything.
-  if (n_hat == 0 || 2 * n_hat >= pe_count || remaining_iterations < 2)
-    return 0.0;
-  const double a_est =
-      base_sum / static_cast<double>(pe_count - n_hat);
-  const double m_est =
-      std::max(0.0, over_sum / static_cast<double>(n_hat) - a_est);
-
-  core::ScheduleRequest request;
-  request.mode = core::EvalMode::kSigmaGrid;
-  core::ModelParams& est = request.params;
-  est.P = pe_count;
-  est.N = n_hat;
-  est.gamma = remaining_iterations;
-  est.w0 = wtot;
-  est.a = a_est;
-  est.m = m_est;
-  est.omega = flops;
-  est.lb_cost = lb_cost_avg;
-  est.alpha = 0.0;
-  request.alpha_grid.reserve(11);
-  for (int g = 0; g <= 10; ++g)
-    request.alpha_grid.push_back(static_cast<double>(g) / 10.0);
-  return opt::evaluate_schedule_request(request).best_alpha;
-}
 
 /// Prior LB-cost estimate: only the communication phases are predictable
 /// before the first step (migration volume and rebuild depend on the data).
@@ -128,7 +44,7 @@ double prior_lb_cost(const AppConfig& config, std::int64_t columns) {
 /// Call protocol per iteration:
 ///   observe(iter, weights)                        — before the dynamics step
 ///   should_balance(iter, total_workload)          — after the dynamics step
-///   balance(iter, weights, bytes, total_workload) — only when it said yes
+///   balance(iter, weights, bytes)                 — only when it said yes
 ///   end_iteration()                               — always, last
 /// then take_result(weights, eroded) after the loop.
 class LbController {
@@ -158,9 +74,6 @@ class LbController {
     result_.iterations.reserve(static_cast<std::size_t>(config.iterations));
   }
 
-  [[nodiscard]] const lb::StripeBoundaries& boundaries() const noexcept {
-    return boundaries_;
-  }
   [[nodiscard]] RunResult& result() noexcept { return result_; }
 
   /// Superstep + WIR monitoring + gossip round on the pre-step weights.
@@ -197,7 +110,7 @@ class LbController {
   /// iteration must end in an LB step.
   [[nodiscard]] bool should_balance(std::int64_t iter, double total_workload) {
     trigger_.record_iteration(pending_.seconds);
-    const double threshold = trigger_threshold(iter, total_workload);
+    const double threshold = trigger_threshold(total_workload);
     pending_.degradation = trigger_.degradation();
     pending_.threshold = threshold;
 
@@ -218,52 +131,17 @@ class LbController {
   }
 
   /// The centralized LB step (Algorithm 1, lines 17–23): each PE classifies
-  /// itself from its own (gossip-fed, possibly stale) database view; the α
-  /// it applies comes from the configured AlphaPolicy (E-X4).
+  /// itself from its own (gossip-fed, possibly stale) database view and, for
+  /// ULBA, an overloading PE applies the configured α.
   void balance(std::int64_t iter, std::span<const double> column_weights,
-               std::span<const double> column_bytes, double total_workload) {
+               std::span<const double> column_bytes) {
     const auto P = config_.pe_count;
     std::vector<double> alphas(static_cast<std::size_t>(P), 0.0);
-    double step_alpha = 0.0;
     if (config_.method == Method::kUlba) {
-      // kGossipModel's α is chosen once at the main PE (whose database the
-      // centralized LB step gathers at anyway) and broadcast; the other
-      // policies are evaluated per PE against its own view.
-      double model_alpha = 0.0;
-      if (config_.alpha_policy == AlphaPolicy::kGossipModel)
-        model_alpha = model_alpha_for(iter, total_workload);
       for (std::int64_t p = 0; p < P; ++p) {
         const auto i = static_cast<std::size_t>(p);
-        const auto view = gossip_.database(p).wirs();
-        if (!detector_.is_overloading(wir_[i], view)) continue;
-        double a = config_.alpha;
-        switch (config_.alpha_policy) {
-          case AlphaPolicy::kFixed:
-            break;
-          case AlphaPolicy::kGossipFraction:
-            a = fraction_alpha(config_.alpha,
-                               detector_.count_overloading(view), P);
-            break;
-          case AlphaPolicy::kGossipModel:
-            a = model_alpha;
-            break;
-        }
-        alphas[i] = a;
-      }
-      // Report the α the main PE's view implies, whether or not PE 0
-      // itself overloads — the per-interval trace of `lb_alphas`.
-      switch (config_.alpha_policy) {
-        case AlphaPolicy::kFixed:
-          step_alpha = config_.alpha;
-          break;
-        case AlphaPolicy::kGossipFraction:
-          step_alpha = fraction_alpha(
-              config_.alpha,
-              detector_.count_overloading(gossip_.database(0).wirs()), P);
-          break;
-        case AlphaPolicy::kGossipModel:
-          step_alpha = model_alpha;
-          break;
+        if (detector_.is_overloading(wir_[i], gossip_.database(p).wirs()))
+          alphas[i] = config_.alpha;
       }
     }
     const auto lb_step = balancer_.step(alphas, column_weights, column_bytes,
@@ -277,7 +155,6 @@ class LbController {
     ++result_.lb_count;
     result_.lb_seconds += lb_step.cost.total();
     result_.lb_iterations.push_back(iter);
-    result_.lb_alphas.push_back(step_alpha);
     pending_.lb_performed = true;
   }
 
@@ -298,55 +175,20 @@ class LbController {
   }
 
  private:
-  /// The model policy's grid-searched α for iteration `iter`, memoized: the
-  /// trigger-threshold evaluation and the LB step of one iteration see the
-  /// same gossip/cost state, so the (expensive) grid search runs once.
-  [[nodiscard]] double model_alpha_for(std::int64_t iter,
-                                       double total_workload) const {
-    if (model_alpha_iter_ != iter) {
-      model_alpha_memo_ = model_grid_alpha(
-          detector_, gossip_.database(0).wirs(), config_.pe_count,
-          config_.iterations - (iter + 1), total_workload, config_.flops,
-          lb_cost_.average());
-      model_alpha_iter_ = iter;
-    }
-    return model_alpha_memo_;
-  }
-
-  /// The α the configured policy would apply at this instant — fed into the
-  /// Eq. (11) trigger overhead so trigger and LB step agree (the ROADMAP
-  /// follow-up: previously the trigger always used the fixed base α even
-  /// when the LB step was about to apply a policy-chosen one).
-  [[nodiscard]] double policy_alpha(std::int64_t iter, double total_workload,
-                                    std::int64_t n_hat) const {
-    switch (config_.alpha_policy) {
-      case AlphaPolicy::kFixed:
-        return config_.alpha;
-      case AlphaPolicy::kGossipFraction:
-        return fraction_alpha(config_.alpha, n_hat, config_.pe_count);
-      case AlphaPolicy::kGossipModel:
-        return model_alpha_for(iter, total_workload);
-    }
-    return config_.alpha;
-  }
-
   /// Eq. (11): average LB cost plus, for ULBA, the overhead the next
   /// underloading step would impose on a non-overloading PE, estimated from
-  /// the main PE's WIR database at the policy's current α.
-  [[nodiscard]] double trigger_threshold(std::int64_t iter,
-                                         double total_workload) const {
+  /// the main PE's WIR database at the configured α.
+  [[nodiscard]] double trigger_threshold(double total_workload) const {
     double threshold = lb_cost_.average();
     if (config_.method == Method::kUlba &&
         config_.anticipate_overhead_in_trigger) {
       const auto P = config_.pe_count;
       const auto known = gossip_.database(0).wirs();
       const std::int64_t n_hat = detector_.count_overloading(known);
-      if (n_hat > 0 && 2 * n_hat < P) {
-        const double a = policy_alpha(iter, total_workload, n_hat);
-        threshold += a * static_cast<double>(n_hat) /
+      if (n_hat > 0 && 2 * n_hat < P)
+        threshold += config_.alpha * static_cast<double>(n_hat) /
                      static_cast<double>(P - n_hat) * total_workload /
                      (config_.flops * static_cast<double>(P));
-      }
     }
     return threshold;
   }
@@ -366,8 +208,6 @@ class LbController {
   bool wir_valid_ = false;
   IterationRecord pending_;
   RunResult result_;
-  mutable std::int64_t model_alpha_iter_ = -1;
-  mutable double model_alpha_memo_ = 0.0;
 };
 
 /// The SPMD-distributed run (AppConfig::ranks > 1): every rank steps its
@@ -469,7 +309,7 @@ RunResult run_distributed(const AppConfig& config,
               std::vector<double> bytes(post.size());
               for (std::size_t x = 0; x < post.size(); ++x)
                 bytes[x] = post[x] * byte_scale;
-              ctl->balance(iter, post, bytes, domain.total_workload());
+              ctl->balance(iter, post, bytes);
             }
             // Recut the rank stripes against the freshly balanced weights —
             // column weights and disc ownership move as real messages.
@@ -623,8 +463,7 @@ RunResult ErosionApp::run() const {
     ctl.observe(iter, domain.column_weights());
     (void)domain.step_counter(dynamics_seed, iter, pool ? &*pool : nullptr);
     if (ctl.should_balance(iter, domain.total_workload()))
-      ctl.balance(iter, domain.column_weights(), domain.column_bytes(),
-                  domain.total_workload());
+      ctl.balance(iter, domain.column_weights(), domain.column_bytes());
     ctl.end_iteration();
   }
 

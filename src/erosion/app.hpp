@@ -32,31 +32,6 @@ enum class Method {
   kUlba,      ///< anticipatory underloading with the configured α
 };
 
-/// How ULBA picks the α applied at each LB step (E-X4, the paper's §V
-/// future-work item of adjusting α during execution). All runtime policies
-/// feed on the gossip-estimated WIR databases — the same possibly-stale
-/// knowledge a real decentralized deployment would have.
-enum class AlphaPolicy {
-  /// α = AppConfig::alpha at every step (the paper's experiments).
-  kFixed,
-  /// Shrink α as the detected overloading fraction grows — the Eq. (11)
-  /// overhead is ∝ αN/(P−N):  α_eff = α·max(0, 1 − 2·N̂/P), per each PE's
-  /// own database view; vanishes at the 50 % fallback boundary.
-  kGossipFraction,
-  /// Per-interval grid search over the analytic model: the main PE estimates
-  /// (N̂, â, m̂) from its WIR database, plugs them into ModelParams together
-  /// with the live (Wtot, C, remaining γ), and picks the α ∈ {0, 0.1, …, 1}
-  /// whose σ⁺ schedule minimizes the predicted remaining time. The grid
-  /// mirrors opt::default_alpha_grid() — the runtime half of the exact
-  /// dynamic-α DP (opt::optimal_alpha_schedule).
-  kGossipModel,
-};
-
-/// Parse "fixed" | "fraction" | "model" (the `--alpha-policy` vocabulary);
-/// throws std::invalid_argument on anything else.
-[[nodiscard]] AlphaPolicy alpha_policy_from_name(const std::string& name);
-[[nodiscard]] std::string alpha_policy_name(AlphaPolicy policy);
-
 /// When to invoke the load balancer (the ablation knob of E-X2; the paper
 /// always uses the adaptive trigger).
 enum class TriggerMode {
@@ -140,12 +115,6 @@ struct AppConfig {
   /// Real CPU cost factor per migrated payload byte (measured mode).
   double migration_scale = 8.0;
 
-  /// E-X4 extension (the paper's future-work item): how ULBA adapts α at
-  /// each LB step from the gossip-estimated overloading state. The policy
-  /// also feeds the adaptive trigger's Eq. (11) overhead term, so trigger
-  /// and LB step agree on the α about to be applied.
-  AlphaPolicy alpha_policy = AlphaPolicy::kFixed;
-
   void validate() const;
 
   /// Derived: domain width = pe_count · columns_per_pe.
@@ -162,8 +131,8 @@ struct IterationRecord {
   double degradation = 0.0;   ///< trigger accumulator after this iteration
   /// The threshold the adaptive trigger compared `degradation` against this
   /// iteration: average LB cost, plus — for ULBA with
-  /// `anticipate_overhead_in_trigger` — the Eq. (11) overhead at the α the
-  /// configured AlphaPolicy would apply right now.
+  /// `anticipate_overhead_in_trigger` — the Eq. (11) overhead at
+  /// AppConfig::alpha for the overloading PEs the main PE's database shows.
   double threshold = 0.0;
 };
 
@@ -198,10 +167,6 @@ struct RunResult {
   double final_imbalance = 0.0;  ///< max/avg stripe load at the end
   std::vector<IterationRecord> iterations;
   std::vector<std::int64_t> lb_iterations;
-  /// α applied at each LB step, from the main PE's database view (parallel
-  /// to lb_iterations). config.alpha under AlphaPolicy::kFixed; what the
-  /// policy chose otherwise. Always 0 under Method::kStandard.
-  std::vector<double> lb_alphas;
   /// Distributed stepping only (ranks > 1): discs that changed rank across
   /// all rank-stripe recuts, the summed analytic migration volume of those
   /// recuts, and the real message payload bytes the migrations put on the

@@ -62,7 +62,7 @@ enum class ExchangeMode {
   kNeighbor,
 };
 
-/// Parse "alltoall" | "neighbor" (the `--exchange` vocabulary); throws
+/// Parse "alltoall" | "neighbor" (the AppConfig::exchange vocabulary); throws
 /// std::invalid_argument on anything else.
 [[nodiscard]] ExchangeMode exchange_mode_from_name(const std::string& name);
 [[nodiscard]] std::string exchange_mode_name(ExchangeMode mode);

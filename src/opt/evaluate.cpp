@@ -72,7 +72,7 @@ ScheduleResponse evaluate_sigma_grid(const ScheduleRequest& request,
 ScheduleResponse evaluate_exact_dp(const ScheduleRequest& request,
                                    ScheduleResponse response) {
   const ModelParams& p = request.params;
-  // Best *fixed* α over the grid — the reference the dynamic-α bound is
+  // Best *fixed* α over the grid — the reference the per-step-α DP is
   // measured against. No standard fallback: init +inf, exactly the
   // historical best_fixed scan.
   double best_seconds = std::numeric_limits<double>::infinity();

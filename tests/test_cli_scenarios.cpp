@@ -1,4 +1,4 @@
-// Golden-output tests for all six `ulba_cli` subcommands.
+// Golden-output tests for the `ulba_cli` subcommands.
 //
 // Every scenario is driven through cli::run with a pinned seed and a small,
 // fast configuration; the full report text is compared byte-for-byte against
@@ -91,15 +91,6 @@ TEST(CliGolden, IntervalQuality) {
                          "--sa-steps", "600"});
 }
 
-TEST(CliGolden, DynamicAlpha) {
-  // 120 iterations keep the run fast while giving the model policy a long
-  // enough horizon to pick a nonzero α mid-run (the trace in the golden).
-  expect_matches_golden(
-      "dynamic_alpha",
-      {"dynamic-alpha", "--pes", "16", "--seeds", "1", "--iterations", "120",
-       "--rocks", "2", "--instances", "10"});
-}
-
 TEST(CliGolden, Intervals) {
   expect_matches_golden("intervals", {"intervals", "--gamma", "40",
                                       "--alpha-steps", "4"});
@@ -157,8 +148,7 @@ TEST(CliScenarios, ReportInvariantAcrossThreadsAndRanks) {
   EXPECT_EQ(serial, with({"--threads", "4"})) << "--threads 4";
   EXPECT_EQ(serial, with({"--ranks", "2"})) << "--ranks 2";
   EXPECT_EQ(serial, with({"--ranks", "4", "--threads", "2"})) << "--ranks 4";
-  EXPECT_EQ(serial, with({"--ranks", "8", "--exchange", "alltoall"}))
-      << "--ranks 8 alltoall";
+  EXPECT_EQ(serial, with({"--ranks", "8"})) << "--ranks 8";
 }
 
 // ---------------------------------------------------------------------------
@@ -240,18 +230,12 @@ TEST(CliScenarios, RanksFlagIsValidated) {
   // AppConfig::validate: ranks must not exceed the PE count.
   EXPECT_THROW(run({"erosion", "--pes", "8", "--ranks", "16"}, out),
                std::invalid_argument);
-  // The measured-time knobs require --mt; the exchange knob requires the
-  // distributed stepper; bad exchange names are rejected up front.
+  // The measured-time knobs require --mt.
   EXPECT_THROW(run({"erosion", "--ns-scale", "2"}, out),
                std::invalid_argument);
   EXPECT_THROW(run({"erosion", "--migration-scale", "2"}, out),
                std::invalid_argument);
   EXPECT_THROW(run({"erosion", "--mt", "--ns-scale", "0"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"erosion", "--exchange", "neighbor"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"erosion", "--ranks", "2", "--exchange", "hypercube"},
-                   out),
                std::invalid_argument);
   EXPECT_THROW(run({"quickstart", "--ranks", "-1"}, out),
                std::invalid_argument);
@@ -306,14 +290,32 @@ TEST(CliScenarios, RetiredFlagsAndBareMtAreRejected) {
           << e.what();
     }
   }
-  // ... and the anticipation-vs-reactive harness built on them is gone.
-  try {
-    (void)run({"anticipation"}, out);
-    ADD_FAILURE() << "the anticipation subcommand must be rejected";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("unknown subcommand 'anticipation'"),
-              std::string::npos)
-        << e.what();
+  // The step-exchange protocol is an AppConfig field for the benches and
+  // tests, not a flag: rejected by name on the serial and distributed run.
+  for (const std::vector<std::string>& argv :
+       std::vector<std::vector<std::string>>{
+           {"erosion", "--exchange", "neighbor"},
+           {"erosion", "--ranks", "2", "--exchange", "hypercube"}}) {
+    try {
+      (void)run(argv, out);
+      ADD_FAILURE() << "--exchange must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown flag --exchange"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // ... and the harnesses built on retired machinery are gone: the
+  // anticipation-vs-reactive harness and the dynamic-α ablation.
+  for (const std::string sub : {"anticipation", "dynamic-alpha"}) {
+    try {
+      (void)run({sub}, out);
+      ADD_FAILURE() << "the " << sub << " subcommand must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown subcommand '" + sub + "'"),
+                std::string::npos)
+          << e.what();
+    }
   }
   // Wall clock comes from the SPMD runtime only: --mt needs --ranks, and
   // the rejection names the replacement.
@@ -341,28 +343,6 @@ TEST(CliScenarios, IntervalQualityRejectsBadFlags) {
   EXPECT_THROW(run({"interval-quality", "--seed", "-1"}, out),
                std::invalid_argument);
   EXPECT_THROW(run({"interval-quality", "positional"}, out),
-               std::invalid_argument);
-}
-
-TEST(CliScenarios, DynamicAlphaRejectsBadFlags) {
-  std::ostringstream out;
-  EXPECT_THROW(run({"dynamic-alpha", "--frobnicate", "1"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"dynamic-alpha", "--pes", "2"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"dynamic-alpha", "--seeds", "0"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"dynamic-alpha", "--iterations", "4"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"dynamic-alpha", "--alpha", "1.5"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"dynamic-alpha", "--rocks", "0"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"dynamic-alpha", "--pes", "16", "--rocks", "8"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"dynamic-alpha", "--instances", "0"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"dynamic-alpha", "positional"}, out),
                std::invalid_argument);
 }
 

@@ -17,9 +17,8 @@ TEST(Detector, SingleHotPeAmongThirtyTwoIsFlagged) {
   const OverloadDetector det(3.0);
   EXPECT_TRUE(det.is_overloading(wirs[13], wirs));
   EXPECT_EQ(det.count_overloading(wirs), 1);
-  const auto flags = det.flags(wirs);
-  for (std::size_t i = 0; i < flags.size(); ++i)
-    EXPECT_EQ(flags[i], i == 13) << "PE " << i;
+  for (std::size_t i = 0; i < wirs.size(); ++i)
+    EXPECT_EQ(det.is_overloading(wirs[i], wirs), i == 13) << "PE " << i;
 }
 
 TEST(Detector, UniformWirsFlagNobody) {
@@ -196,9 +195,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // The trigger threshold as the erosion app records it per iteration
 // (IterationRecord::threshold): average LB cost plus, for ULBA with
-// anticipation, the Eq. (11) overhead at the α the configured AlphaPolicy
-// would apply — the ROADMAP follow-up that made the `model` policy feed the
-// trigger, not only the LB step.
+// anticipation, the Eq. (11) overhead at the configured α.
 // ---------------------------------------------------------------------------
 
 erosion::AppConfig threshold_probe_config() {
@@ -266,26 +263,6 @@ TEST(TriggerThreshold, StandardMethodIgnoresAnticipation) {
   for (std::size_t i = 0; i < a.iterations.size(); ++i)
     EXPECT_EQ(a.iterations[i].threshold, b.iterations[i].threshold)
         << "iteration " << i;
-}
-
-TEST(TriggerThreshold, ModelPolicyFeedsTheTrigger) {
-  // Same seed/config, different α policy ⇒ the recorded thresholds must
-  // diverge once the detector sees the overload: the fixed policy charges
-  // Eq. (11) at the base α while the model policy charges it at the α its
-  // grid search actually recommends.
-  erosion::AppConfig fixed = threshold_probe_config();
-  erosion::AppConfig model = threshold_probe_config();
-  model.alpha_policy = erosion::AlphaPolicy::kGossipModel;
-  const erosion::RunResult r_fixed = erosion::ErosionApp(fixed).run();
-  const erosion::RunResult r_model = erosion::ErosionApp(model).run();
-  bool diverged = false;
-  const std::size_t n =
-      std::min(r_fixed.iterations.size(), r_model.iterations.size());
-  for (std::size_t i = 0; i < n && !diverged; ++i)
-    diverged = r_fixed.iterations[i].threshold !=
-               r_model.iterations[i].threshold;
-  EXPECT_TRUE(diverged)
-      << "the model policy never changed the trigger threshold";
 }
 
 }  // namespace

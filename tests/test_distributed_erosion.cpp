@@ -535,11 +535,12 @@ TEST(DistributedErosion, DiscHandOffRoundTripsBitExactly) {
         << "malformed payload " << i;
 }
 
-/// App-level wiring: AppConfig::ranks > 1 runs the SAME virtual-time LB
-/// machinery (LbController) over the distributed domain, so the whole
-/// RunResult — times, LB schedule, per-step α's, recorded thresholds — must
-/// be BIT-identical to the in-process run, for every rank count and under
-/// every α policy; only the rank-migration accounting is additional.
+/// App level: AppConfig::threads > 1 steps the same trajectory on a pool,
+/// and AppConfig::ranks > 1 runs the SAME virtual-time LB machinery
+/// (LbController) over the distributed domain, so the whole RunResult —
+/// times, LB schedule, recorded thresholds — must be BIT-identical to the
+/// serial in-process run for every variant; only the rank-migration
+/// accounting is additional.
 TEST(DistributedErosion, AppRunResultBitIdenticalToSerial) {
   erosion::AppConfig cfg;
   cfg.pe_count = 16;
@@ -553,99 +554,57 @@ TEST(DistributedErosion, AppRunResultBitIdenticalToSerial) {
   cfg.comm.latency_s = 1e-4;
   cfg.comm.bandwidth_Bps = 2e9;
 
-  for (const AlphaPolicy policy :
-       {AlphaPolicy::kFixed, AlphaPolicy::kGossipModel}) {
-    AppConfig serial_cfg = cfg;
-    serial_cfg.alpha_policy = policy;
-    const RunResult serial = ErosionApp(serial_cfg).run();
-    ASSERT_GE(serial.lb_count, 1)
-        << "the reference run must exercise at least one mid-run LB step";
-
-    for (const std::int64_t ranks : {2, 4, 8}) {
-      AppConfig dist_cfg = serial_cfg;
-      dist_cfg.ranks = ranks;
-      dist_cfg.threads = ranks == 4 ? 2 : 1;  // one variant on rank pools
-      const RunResult dist = ErosionApp(dist_cfg).run();
-      const std::string what = "ranks " + std::to_string(ranks) +
-                               ", policy " + alpha_policy_name(policy);
-
-      EXPECT_EQ(serial.total_seconds, dist.total_seconds) << what;
-      EXPECT_EQ(serial.compute_seconds, dist.compute_seconds) << what;
-      EXPECT_EQ(serial.lb_seconds, dist.lb_seconds) << what;
-      EXPECT_EQ(serial.lb_count, dist.lb_count) << what;
-      EXPECT_EQ(serial.fallback_count, dist.fallback_count) << what;
-      EXPECT_EQ(serial.average_utilization, dist.average_utilization) << what;
-      EXPECT_EQ(serial.eroded_cells, dist.eroded_cells) << what;
-      EXPECT_EQ(serial.final_imbalance, dist.final_imbalance) << what;
-      EXPECT_EQ(serial.lb_iterations, dist.lb_iterations) << what;
-      EXPECT_EQ(serial.lb_alphas, dist.lb_alphas) << what;
-      ASSERT_EQ(serial.iterations.size(), dist.iterations.size()) << what;
-      for (std::size_t i = 0; i < serial.iterations.size(); ++i) {
-        EXPECT_EQ(serial.iterations[i].seconds, dist.iterations[i].seconds)
-            << what << " — iteration " << i;
-        EXPECT_EQ(serial.iterations[i].utilization,
-                  dist.iterations[i].utilization)
-            << what << " — iteration " << i;
-        EXPECT_EQ(serial.iterations[i].degradation,
-                  dist.iterations[i].degradation)
-            << what << " — iteration " << i;
-        EXPECT_EQ(serial.iterations[i].threshold,
-                  dist.iterations[i].threshold)
-            << what << " — iteration " << i;
-        EXPECT_EQ(serial.iterations[i].lb_performed,
-                  dist.iterations[i].lb_performed)
-            << what << " — iteration " << i;
-      }
-      // The distributed accounting is additional: the serial run reports
-      // none, the distributed run recut its stripes at every LB step.
-      EXPECT_EQ(serial.rank_discs_moved, 0) << what;
-      EXPECT_GE(dist.rank_migration_bytes, 0.0) << what;
-      EXPECT_GT(dist.rank_observed_bytes, 0.0)
-          << what << " — an LB step fired, so migrations crossed the wire";
-    }
-  }
-}
-
-/// App level: the serial in-process run, the pooled run, and the
-/// distributed run must produce ONE RunResult bit for bit.
-TEST(DistributedErosion, AppOneResultAcrossThreadsAndRanks) {
-  erosion::AppConfig cfg;
-  cfg.pe_count = 16;
-  cfg.columns_per_pe = 48;
-  cfg.rows = 64;
-  cfg.rock_radius = 16;
-  cfg.iterations = 50;
-  cfg.seed = 3;
-  cfg.method = Method::kUlba;
-  cfg.bytes_per_cell = 256.0;
-  cfg.comm.latency_s = 1e-4;
-  cfg.comm.bandwidth_Bps = 2e9;
-
   const RunResult serial = ErosionApp(cfg).run();
   ASSERT_GE(serial.lb_count, 1)
       << "the reference run must exercise at least one mid-run LB step";
+  EXPECT_EQ(serial.rank_discs_moved, 0)
+      << "the serial run reports no distributed accounting";
 
-  const auto expect_same = [&](const AppConfig& variant,
-                               const std::string& what) {
-    const RunResult got = ErosionApp(variant).run();
+  struct Variant {
+    std::int64_t threads;
+    std::int64_t ranks;
+  };
+  for (const Variant v :
+       {Variant{4, 1}, Variant{1, 2}, Variant{2, 4}, Variant{1, 8}}) {
+    AppConfig variant_cfg = cfg;
+    variant_cfg.threads = v.threads;
+    variant_cfg.ranks = v.ranks;
+    const RunResult got = ErosionApp(variant_cfg).run();
+    const std::string what = "threads " + std::to_string(v.threads) +
+                             ", ranks " + std::to_string(v.ranks);
+
     EXPECT_EQ(serial.total_seconds, got.total_seconds) << what;
     EXPECT_EQ(serial.compute_seconds, got.compute_seconds) << what;
     EXPECT_EQ(serial.lb_seconds, got.lb_seconds) << what;
     EXPECT_EQ(serial.lb_count, got.lb_count) << what;
-    EXPECT_EQ(serial.eroded_cells, got.eroded_cells) << what;
+    EXPECT_EQ(serial.fallback_count, got.fallback_count) << what;
     EXPECT_EQ(serial.average_utilization, got.average_utilization) << what;
+    EXPECT_EQ(serial.eroded_cells, got.eroded_cells) << what;
     EXPECT_EQ(serial.final_imbalance, got.final_imbalance) << what;
     EXPECT_EQ(serial.lb_iterations, got.lb_iterations) << what;
-    EXPECT_EQ(serial.lb_alphas, got.lb_alphas) << what;
-  };
-  AppConfig threaded = cfg;
-  threaded.threads = 4;
-  expect_same(threaded, "threads 4");
-  for (const std::int64_t ranks : {2, 4}) {
-    AppConfig dist_cfg = cfg;
-    dist_cfg.ranks = ranks;
-    dist_cfg.threads = ranks == 4 ? 2 : 1;
-    expect_same(dist_cfg, "ranks " + std::to_string(ranks));
+    ASSERT_EQ(serial.iterations.size(), got.iterations.size()) << what;
+    for (std::size_t i = 0; i < serial.iterations.size(); ++i) {
+      EXPECT_EQ(serial.iterations[i].seconds, got.iterations[i].seconds)
+          << what << " — iteration " << i;
+      EXPECT_EQ(serial.iterations[i].utilization,
+                got.iterations[i].utilization)
+          << what << " — iteration " << i;
+      EXPECT_EQ(serial.iterations[i].degradation,
+                got.iterations[i].degradation)
+          << what << " — iteration " << i;
+      EXPECT_EQ(serial.iterations[i].threshold, got.iterations[i].threshold)
+          << what << " — iteration " << i;
+      EXPECT_EQ(serial.iterations[i].lb_performed,
+                got.iterations[i].lb_performed)
+          << what << " — iteration " << i;
+    }
+    if (v.ranks > 1) {
+      // The distributed accounting is additional: the distributed run
+      // recut its stripes at every LB step.
+      EXPECT_GE(got.rank_migration_bytes, 0.0) << what;
+      EXPECT_GT(got.rank_observed_bytes, 0.0)
+          << what << " — an LB step fired, so migrations crossed the wire";
+    }
   }
 }
 
@@ -713,7 +672,6 @@ TEST(DistributedErosion, AppExchangeModesBitIdenticalNeighborCheaper) {
     EXPECT_EQ(a2a.eroded_cells, nbr.eroded_cells) << what;
     EXPECT_EQ(a2a.final_imbalance, nbr.final_imbalance) << what;
     EXPECT_EQ(a2a.lb_iterations, nbr.lb_iterations) << what;
-    EXPECT_EQ(a2a.lb_alphas, nbr.lb_alphas) << what;
     EXPECT_EQ(a2a.rank_discs_moved, nbr.rank_discs_moved) << what;
     EXPECT_EQ(a2a.rank_migration_bytes, nbr.rank_migration_bytes) << what;
     EXPECT_EQ(a2a.rank_observed_bytes, nbr.rank_observed_bytes) << what;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 
 #include "erosion/domain.hpp"
 #include "support/rng.hpp"
@@ -145,6 +146,53 @@ TEST(App, UlbaCallsTheBalancerLessOften) {
       ErosionApp(small_config(Method::kStandard)).run();
   const RunResult ulba_run = ErosionApp(small_config(Method::kUlba)).run();
   EXPECT_LE(ulba_run.lb_count, std_run.lb_count);
+}
+
+TEST(App, UlbaAtAlphaZeroIsTheStandardMethod) {
+  // At α = 0 no overloading PE asks for underloading, Algorithm 2 returns
+  // the even targets and Eq. (11) adds nothing to the trigger threshold, so
+  // ULBA must BE the standard method, bit for bit, in process and over
+  // ranks. The shape is one where the detector fires: at α = 0.4 the
+  // anticipation moves the recorded thresholds.
+  const auto config = [](Method method, double alpha, std::int64_t ranks) {
+    AppConfig c;
+    c.pe_count = 16;
+    c.columns_per_pe = 48;
+    c.rows = 64;
+    c.rock_radius = 16;
+    c.iterations = 60;
+    c.seed = 3;
+    c.bytes_per_cell = 256.0;
+    c.comm.latency_s = 1e-4;
+    c.comm.bandwidth_Bps = 2e9;
+    c.method = method;
+    c.alpha = alpha;
+    c.ranks = ranks;
+    return c;
+  };
+  for (const std::int64_t ranks : {1, 4}) {
+    const std::string what = "ranks " + std::to_string(ranks);
+    const RunResult std_run =
+        ErosionApp(config(Method::kStandard, 0.4, ranks)).run();
+    const RunResult zero = ErosionApp(config(Method::kUlba, 0.0, ranks)).run();
+    ASSERT_GE(std_run.lb_count, 1) << what;
+    EXPECT_EQ(zero.total_seconds, std_run.total_seconds) << what;
+    EXPECT_EQ(zero.lb_iterations, std_run.lb_iterations) << what;
+    EXPECT_EQ(zero.fallback_count, std_run.fallback_count) << what;
+    ASSERT_EQ(zero.iterations.size(), std_run.iterations.size()) << what;
+    for (std::size_t i = 0; i < zero.iterations.size(); ++i)
+      EXPECT_EQ(zero.iterations[i].threshold, std_run.iterations[i].threshold)
+          << what << " — iteration " << i;
+
+    const RunResult ulba = ErosionApp(config(Method::kUlba, 0.4, ranks)).run();
+    ASSERT_EQ(ulba.iterations.size(), std_run.iterations.size()) << what;
+    bool threshold_moved = false;
+    for (std::size_t i = 0; i < ulba.iterations.size(); ++i)
+      threshold_moved |=
+          ulba.iterations[i].threshold != std_run.iterations[i].threshold;
+    EXPECT_TRUE(threshold_moved)
+        << what << " — the detector never fired, so α = 0 proves nothing";
+  }
 }
 
 TEST(App, ManyStrongRocksTriggerTheFallback) {

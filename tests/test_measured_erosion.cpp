@@ -56,7 +56,6 @@ TEST(MeasuredErosion, VirtualTrajectoryBitIdenticalToModelTimeRun) {
     EXPECT_EQ(model.eroded_cells, mt.eroded_cells) << what;
     EXPECT_EQ(model.final_imbalance, mt.final_imbalance) << what;
     EXPECT_EQ(model.lb_iterations, mt.lb_iterations) << what;
-    EXPECT_EQ(model.lb_alphas, mt.lb_alphas) << what;
     EXPECT_EQ(model.rank_migration_bytes, mt.rank_migration_bytes) << what;
     EXPECT_EQ(model.rank_observed_bytes, mt.rank_observed_bytes) << what;
     ASSERT_EQ(model.iterations.size(), mt.iterations.size()) << what;
