@@ -22,8 +22,6 @@ using cli::instance_family_stats;
 using cli::interval_quality_sweep;
 using cli::IntervalQualitySample;
 using cli::parallel_map;
-using cli::partitioner_end_to_end;
-using cli::partitioner_quality_sweep;
 using cli::scaled_app_config;
 
 inline void print_header(const std::string& title, const std::string& paper) {

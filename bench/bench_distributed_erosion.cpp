@@ -1,6 +1,6 @@
 // Distributed-erosion scaling — the erosion workload over the SPMD runtime
 // (erosion::DistributedDomain through `ErosionApp` with AppConfig::ranks),
-// swept over rank counts × partitioners.
+// swept over rank counts × step-exchange modes.
 //
 // Two claims are on trial:
 //   (a) determinism — every cell's RunResult must be BIT-identical to the
@@ -30,25 +30,23 @@ int main() {
       "(the per-rank column-stripe decomposition)");
 
   const std::vector<std::int64_t> rank_counts{1, 2, 4, 8};
-  const std::vector<std::string> partitioners{"greedy", "rcb", "optimal",
-                                              "stripe"};
   const std::vector<std::string> exchanges{"alltoall", "neighbor"};
   std::printf("\n32 PEs, 1 strong rock, 120 iterations, ULBA alpha 0.4; "
               "every cell vs. the\nin-process reference "
               "(matches = bit-identical RunResult):\n\n");
 
   const auto rows = bench::distributed_erosion_scaling(
-      rank_counts, partitioners, exchanges, /*pe_count=*/32,
-      /*strong_rocks=*/1, /*seed=*/11, /*iterations=*/120);
+      rank_counts, exchanges, /*pe_count=*/32, /*strong_rocks=*/1,
+      /*seed=*/11, /*iterations=*/120);
 
-  support::Table table({"partitioner", "exchange", "ranks", "wall [s]",
-                        "virtual [s]", "LB calls", "disc moves", "wire [MB]",
-                        "step msgs", "matches"});
+  support::Table table({"exchange", "ranks", "wall [s]", "virtual [s]",
+                        "LB calls", "disc moves", "wire [MB]", "step msgs",
+                        "matches"});
   bool all_match = true;
   bool neighbor_cheaper = true;
   for (const auto& row : rows) {
     all_match &= row.matches_serial != 0;
-    table.add_row({row.partitioner, row.exchange, std::to_string(row.ranks),
+    table.add_row({row.exchange, std::to_string(row.ranks),
                    support::Table::num(row.wall_seconds, 3),
                    support::Table::num(row.virtual_seconds, 3),
                    std::to_string(row.lb_count),
@@ -57,13 +55,12 @@ int main() {
                    std::to_string(row.step_messages),
                    row.matches_serial != 0 ? "yes" : "NO"});
   }
-  // Cross-check the tentpole claim cell by cell: for every (partitioner,
-  // ranks >= 4) the neighbor exchange must send fewer step messages.
+  // Cross-check the neighbor exchange cell by cell: for every ranks >= 4 it
+  // must send fewer step messages than the all-to-all reference.
   for (const auto& a : rows) {
     if (a.exchange != "alltoall" || a.ranks < 4) continue;
     for (const auto& n : rows)
-      if (n.exchange == "neighbor" && n.partitioner == a.partitioner &&
-          n.ranks == a.ranks)
+      if (n.exchange == "neighbor" && n.ranks == a.ranks)
         neighbor_cheaper &= n.step_messages < a.step_messages;
   }
   std::printf("%s\n", table.render(2).c_str());

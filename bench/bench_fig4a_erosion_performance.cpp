@@ -6,9 +6,9 @@
 // at 32 PEs / 3 rocks, and the advantage shrinks as the fraction of
 // overloading PEs grows.
 //
-// Substitution (DESIGN.md §3): the cluster is replaced by the virtual-time
-// BSP machine and the domain is scaled down proportionally; the printed
-// seconds are virtual but every LB decision runs the real code path.
+// Substitution: the cluster is replaced by the virtual-time BSP machine and
+// the domain is scaled down proportionally; the printed seconds are virtual
+// but every LB decision runs the real code path.
 #include <cstdio>
 #include <vector>
 

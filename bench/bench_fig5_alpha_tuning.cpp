@@ -72,7 +72,7 @@ int main() {
 
   // Shape checks, scaled to this substrate's compressed effect size (our
   // end-to-end ULBA gains are ~3–4% where the paper reports up to 16%, so
-  // the α effect scales down proportionally — see EXPERIMENTS.md):
+  // the α effect scales down proportionally):
   //   1. α materially changes performance for every P (under-anticipation
   //      with α = 0.1 is measurably suboptimal);
   //   2. past the knee, a plateau: the spread over α ∈ [0.2, 0.5] stays well
@@ -89,7 +89,7 @@ int main() {
         (support::max_of(y.subspan(2)) - support::min_of(y.subspan(2))) /
         best;  // α ∈ [0.20, 0.50]
     if (plateau_spread > 2.5 * std::max(knee_gain, 0.005)) plateau_ok = false;
-    // Report the measured optimum for the EXPERIMENTS.md record.
+    // Report the measured optimum next to the paper's.
     std::size_t best_i = 0;
     for (std::size_t i = 0; i < y.size(); ++i)
       if (y[i] == best) best_i = i;

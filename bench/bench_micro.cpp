@@ -188,18 +188,6 @@ void BM_DistributedErosionStep(benchmark::State& state) {
 }
 BENCHMARK(BM_DistributedErosionStep)->Arg(0)->Arg(1);
 
-void BM_OptimalRatioPartition(benchmark::State& state) {
-  const auto columns = static_cast<std::size_t>(state.range(0));
-  support::Rng rng(5);
-  std::vector<double> weights(columns);
-  for (double& w : weights) w = rng.uniform(1.0, 3.0);
-  const std::vector<double> fractions(64, 1.0 / 64.0);
-  const lb::OptimalRatioPartitioner part;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(part.partition(weights, fractions).back());
-}
-BENCHMARK(BM_OptimalRatioPartition)->Arg(16384)->Arg(262144);
-
 void BM_DpAlphaSchedule(benchmark::State& state) {
   const core::ModelParams p = bench_params();
   for (auto _ : state)

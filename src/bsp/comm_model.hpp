@@ -1,7 +1,7 @@
 // α-β (latency/bandwidth) communication cost model.
 //
-// The paper ran on a cluster; we substitute a virtual-time machine (see
-// DESIGN.md §3). Message costs follow the classic postal model:
+// The paper ran on a cluster; we substitute a virtual-time machine.
+// Message costs follow the classic postal model:
 //
 //     t(b bytes) = latency + b / bandwidth
 //

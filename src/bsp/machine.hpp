@@ -5,7 +5,7 @@
 // time of an iteration is exactly max_p(w_p/ω) plus any synchronized
 // communication — quantities this machine computes deterministically from
 // modeled per-PE workloads, letting us "run" P = 32 … 2048 PEs on one node
-// (the DESIGN.md §3 substitution for the paper's Baobab cluster).
+// in place of the paper's Baobab cluster.
 //
 // The machine also tracks the paper's Figure-4b metric: average PE
 // utilization, i.e. mean(w_p) / max(w_p) per iteration.

@@ -1,6 +1,7 @@
 #include "cli/args.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -73,9 +74,11 @@ double FlagMap::get_double(const std::string& name, double fallback) const {
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(it->second.c_str(), &end);
-  ULBA_REQUIRE(end != it->second.c_str() && *end == '\0' && errno != ERANGE,
-               "flag --" + name + " expects a number, got '" + it->second +
-                   "'");
+  // strtod also accepts "inf" and "nan", which no numeric knob can take.
+  ULBA_REQUIRE(end != it->second.c_str() && *end == '\0' &&
+                   errno != ERANGE && std::isfinite(v),
+               "flag --" + name + " expects a finite number, got '" +
+                   it->second + "'");
   return v;
 }
 

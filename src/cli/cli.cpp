@@ -32,8 +32,6 @@ std::string quickstart_help() {
          "  --ranks <int>        SPMD ranks stepping the mini erosion run "
          "over the\n"
          "                       message-passing runtime [1]\n"
-         "  --partitioner <name> LB/stripe cutter: greedy|rcb|optimal|"
-         "stripe [greedy]\n"
          "  --seed <int>         placement seed of the mini erosion run "
          "[11]\n\n" +
          model_param_help(quickstart_defaults());
@@ -71,8 +69,6 @@ std::string erosion_help() {
          "real halo/\n"
          "                         migration messages, bit-identical to the "
          "serial run  [1]\n"
-         "  --partitioner <name>   rank-stripe + LB cutting algorithm:\n"
-         "                         greedy|rcb|optimal|stripe      [greedy]\n"
          "  --ns-scale <r>         burn steps per unit workload (--mt)   "
          "[4.0]\n"
          "  --migration-scale <r>  burn factor per migrated byte (--mt)  "

@@ -14,7 +14,6 @@
 #include "core/schedule.hpp"
 #include "core/schedule_query.hpp"
 #include "erosion/app.hpp"
-#include "lb/partitioners.hpp"
 #include "opt/dp_optimal.hpp"
 #include "opt/evaluate.hpp"
 #include "support/histogram.hpp"
@@ -72,18 +71,14 @@ core::ModelParams intervals_defaults() {
 }
 
 int run_quickstart(const FlagMap& flags, std::ostream& out) {
-  flags.require_known(
-      with_model_flags({"threads", "ranks", "partitioner", "seed"}));
+  flags.require_known(with_model_flags({"threads", "ranks", "seed"}));
   const core::ModelParams p =
       parse_model_params(flags, quickstart_defaults());
   const std::uint64_t seed = flags.get_seed("seed", 11);
   const std::int64_t threads = flags.get_int("threads", 1);
   const std::int64_t ranks = flags.get_int("ranks", 1);
-  const std::string partitioner = flags.get_string("partitioner", "greedy");
   ULBA_REQUIRE(threads >= 1 && threads <= 256, "--threads must be in [1, 256]");
   ULBA_REQUIRE(ranks >= 1 && ranks <= 16, "--ranks must be in [1, 16]");
-  // Reject bad names before any of the analytic report is streamed.
-  (void)lb::make_partitioner(partitioner);
 
   out << "Application: P=" << p.P << " PEs, N=" << p.N
       << " overloading, gamma=" << p.gamma << "\n"
@@ -125,7 +120,6 @@ int run_quickstart(const FlagMap& flags, std::ostream& out) {
   mini.alpha = p.alpha;
   mini.threads = threads;
   mini.ranks = ranks;
-  mini.partitioner = partitioner;
   mini.validate();
   mini.method = erosion::Method::kStandard;
   const erosion::RunResult mini_std = erosion::ErosionApp(mini).run();
@@ -133,7 +127,8 @@ int run_quickstart(const FlagMap& flags, std::ostream& out) {
   const erosion::RunResult mini_ulba = erosion::ErosionApp(mini).run();
   out << "\nin practice (mini erosion run: 16 PEs, seed " << mini.seed
       << ", " << threads << " thread(s)";
-  if (ranks > 1) out << ", " << ranks << " SPMD ranks via " << partitioner;
+  if (ranks > 1)
+    out << ", " << ranks << " SPMD ranks via " << mini.partitioner;
   out << "):\n"
       << "  standard : " << mini_std.total_seconds << " s  ("
       << mini_std.lb_count << " LB calls)\n"
@@ -149,7 +144,7 @@ int run_quickstart(const FlagMap& flags, std::ostream& out) {
 int run_erosion(const FlagMap& flags, std::ostream& out) {
   flags.require_known({"mt", "pes", "strong", "seed", "iterations", "alpha",
                        "columns-per-pe", "rows", "rock-radius", "threads",
-                       "ranks", "partitioner", "ns-scale", "migration-scale"});
+                       "ranks", "ns-scale", "migration-scale"});
   const bool mt = flags.has("mt");
   const std::int64_t pe_count = flags.get_int("pes", mt ? 8 : 32);
   const std::int64_t strong = flags.get_int("strong", 1);
@@ -157,7 +152,6 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   const double alpha = flags.get_double("alpha", 0.4);
   const std::int64_t threads = flags.get_int("threads", 1);
   const std::int64_t ranks = flags.get_int("ranks", 1);
-  const std::string partitioner = flags.get_string("partitioner", "greedy");
   const double ns_scale = flags.get_double("ns-scale", 4.0);
   const double migration_scale = flags.get_double("migration-scale", 8.0);
   ULBA_REQUIRE(pe_count >= 2, "--pes must be at least 2");
@@ -169,7 +163,7 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   ULBA_REQUIRE(ns_scale > 0.0 && migration_scale >= 0.0,
                "--ns-scale must be positive, --migration-scale nonnegative");
   // Real wall clock comes from the measured-time DISTRIBUTED mode, which
-  // keeps the full virtual-time knob set (partitioner, per-rank pools).
+  // keeps the full virtual-time knob set (per-rank pools).
   ULBA_REQUIRE(!mt || ranks > 1,
                "--mt measures wall clock on the SPMD runtime; pass "
                "--ranks R --mt (R >= 2)");
@@ -191,7 +185,6 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   cfg.comm.bandwidth_Bps = 2e9;
   cfg.threads = threads;
   cfg.ranks = ranks;
-  cfg.partitioner = partitioner;
   cfg.measure_time = mt;
   cfg.ns_scale = ns_scale;
   cfg.migration_scale = migration_scale;

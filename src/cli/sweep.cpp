@@ -11,8 +11,6 @@
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "core/schedule_query.hpp"
-#include "erosion/domain.hpp"
-#include "lb/partitioners.hpp"
 #include "opt/annealing.hpp"
 #include "opt/dp_optimal.hpp"
 #include "opt/evaluate.hpp"
@@ -269,77 +267,6 @@ ServedSweepResult instance_sweep_served(std::span<const std::int64_t> pin_ps,
   return result;
 }
 
-std::vector<PartitionerQualityRow> partitioner_quality_sweep(
-    std::span<const std::string> names, std::int64_t pe_count,
-    std::int64_t snapshots, std::int64_t iterations_between,
-    std::uint64_t seed) {
-  ULBA_REQUIRE(!names.empty(), "need at least one partitioner");
-  ULBA_REQUIRE(snapshots >= 0 && iterations_between >= 1,
-               "quality sweep needs a forward-moving sampling plan");
-  // The same scaled geometry the end-to-end sweeps run, so cutting quality
-  // is measured on exactly the profiles the CLI's erosion scenario produces.
-  const erosion::AppConfig cfg =
-      scaled_app_config(pe_count, 1, erosion::Method::kStandard, seed);
-  erosion::ErosionDomain domain(erosion::ErosionApp(cfg).make_domain());
-  const std::uint64_t dynamics_seed = support::Rng(seed).fork(1).seed();
-  std::int64_t iteration = 0;
-
-  const std::vector<double> targets(
-      static_cast<std::size_t>(pe_count),
-      1.0 / static_cast<double>(pe_count));
-  std::vector<PartitionerQualityRow> rows;
-  for (std::int64_t snapshot = 0; snapshot <= snapshots; ++snapshot) {
-    PartitionerQualityRow row;
-    row.iteration = snapshot * iterations_between;
-    const auto w = domain.column_weights();
-    for (const std::string& name : names) {
-      const auto partitioner = lb::make_partitioner(name);
-      row.ratios.push_back(
-          lb::bottleneck_ratio(w, targets, partitioner->partition(w, targets)));
-    }
-    rows.push_back(std::move(row));
-    if (snapshot < snapshots)
-      for (std::int64_t it = 0; it < iterations_between; ++it)
-        (void)domain.step_counter(dynamics_seed, iteration++);
-  }
-  return rows;
-}
-
-std::vector<PartitionerEndToEnd> partitioner_end_to_end(
-    std::span<const std::string> names, std::int64_t pe_count,
-    std::int64_t strong_rocks, std::span<const std::uint64_t> seeds) {
-  ULBA_REQUIRE(!names.empty() && !seeds.empty(),
-               "need at least one partitioner and one seed");
-  struct Case {
-    std::size_t name_idx;
-    erosion::Method method;
-    std::uint64_t seed;
-  };
-  std::vector<Case> cases;
-  for (std::size_t ni = 0; ni < names.size(); ++ni)
-    for (const auto m : {erosion::Method::kStandard, erosion::Method::kUlba})
-      for (const std::uint64_t s : seeds) cases.push_back({ni, m, s});
-  const auto results = parallel_map(cases.size(), [&](std::size_t i) {
-    erosion::AppConfig cfg = scaled_app_config(pe_count, strong_rocks,
-                                               cases[i].method, cases[i].seed);
-    cfg.partitioner = names[cases[i].name_idx];
-    return erosion::ErosionApp(cfg).run().total_seconds;
-  });
-
-  std::vector<PartitionerEndToEnd> rows;
-  for (std::size_t ni = 0; ni < names.size(); ++ni) {
-    std::vector<double> t_std, t_ulba;
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-      if (cases[i].name_idx != ni) continue;
-      (cases[i].method == erosion::Method::kStandard ? t_std : t_ulba)
-          .push_back(results[i]);
-    }
-    rows.push_back({names[ni], support::median(t_std),
-                    support::median(t_ulba)});
-  }
-  return rows;
-}
-
 std::vector<IntervalQualitySample> interval_quality_sweep(
     std::size_t instances, std::int64_t sa_steps, std::uint64_t seed) {
   ULBA_REQUIRE(instances >= 1, "need at least one instance");
@@ -397,46 +324,39 @@ bool run_results_bit_equal(const erosion::RunResult& a,
 
 std::vector<DistributedScalingRow> distributed_erosion_scaling(
     std::span<const std::int64_t> rank_counts,
-    std::span<const std::string> partitioners,
     std::span<const std::string> exchanges, std::int64_t pe_count,
     std::int64_t strong_rocks, std::uint64_t seed, std::int64_t iterations) {
-  ULBA_REQUIRE(!rank_counts.empty() && !partitioners.empty() &&
-                   !exchanges.empty(),
-               "scaling sweep needs rank counts, partitioners, and "
-               "exchange modes");
+  ULBA_REQUIRE(!rank_counts.empty() && !exchanges.empty(),
+               "scaling sweep needs rank counts and exchange modes");
   using Clock = std::chrono::steady_clock;
+  erosion::AppConfig cfg =
+      scaled_app_config(pe_count, strong_rocks, erosion::Method::kUlba, seed);
+  if (iterations > 0) cfg.iterations = iterations;
+  const erosion::RunResult reference = erosion::ErosionApp(cfg).run();
   std::vector<DistributedScalingRow> rows;
-  for (const std::string& name : partitioners) {
-    erosion::AppConfig cfg = scaled_app_config(
-        pe_count, strong_rocks, erosion::Method::kUlba, seed);
-    if (iterations > 0) cfg.iterations = iterations;
-    cfg.partitioner = name;
-    const erosion::RunResult reference = erosion::ErosionApp(cfg).run();
-    for (const std::string& exchange : exchanges) {
-      for (const std::int64_t ranks : rank_counts) {
-        // The exchange mode is meaningless at one rank (the serial path);
-        // run that reference cell once instead of once per mode.
-        if (ranks == 1 && exchange != exchanges.front()) continue;
-        erosion::AppConfig rcfg = cfg;
-        rcfg.ranks = ranks;
-        rcfg.exchange = exchange;
-        const auto t0 = Clock::now();
-        const erosion::RunResult run = erosion::ErosionApp(rcfg).run();
-        const double wall =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-        DistributedScalingRow row;
-        row.ranks = ranks;
-        row.partitioner = name;
-        row.exchange = exchange;
-        row.wall_seconds = wall;
-        row.virtual_seconds = run.total_seconds;
-        row.lb_count = run.lb_count;
-        row.discs_moved = run.rank_discs_moved;
-        row.observed_mb = run.rank_observed_bytes / 1e6;
-        row.step_messages = run.rank_step_messages;
-        row.matches_serial = run_results_bit_equal(run, reference) ? 1 : 0;
-        rows.push_back(std::move(row));
-      }
+  for (const std::string& exchange : exchanges) {
+    for (const std::int64_t ranks : rank_counts) {
+      // The exchange mode is meaningless at one rank (the serial path);
+      // run that reference cell once instead of once per mode.
+      if (ranks == 1 && exchange != exchanges.front()) continue;
+      erosion::AppConfig rcfg = cfg;
+      rcfg.ranks = ranks;
+      rcfg.exchange = exchange;
+      const auto t0 = Clock::now();
+      const erosion::RunResult run = erosion::ErosionApp(rcfg).run();
+      const double wall =
+          std::chrono::duration<double>(Clock::now() - t0).count();
+      DistributedScalingRow row;
+      row.ranks = ranks;
+      row.exchange = exchange;
+      row.wall_seconds = wall;
+      row.virtual_seconds = run.total_seconds;
+      row.lb_count = run.lb_count;
+      row.discs_moved = run.rank_discs_moved;
+      row.observed_mb = run.rank_observed_bytes / 1e6;
+      row.step_messages = run.rank_step_messages;
+      row.matches_serial = run_results_bit_equal(run, reference) ? 1 : 0;
+      rows.push_back(std::move(row));
     }
   }
   return rows;

@@ -55,11 +55,11 @@ auto parallel_map(std::size_t n, Fn&& fn)
   return parallel_map(pool, n, std::forward<Fn>(fn));
 }
 
-/// The scaled-down erosion configuration every Figure-4/5 sweep shares.
-/// DESIGN.md §3 records the substitution: the geometry ratios (radius/rows =
-/// 1/4, one rock per stripe) match the paper; the absolute scale is reduced
-/// so a full sweep runs in seconds, and the α-β constants place the LB cost
-/// in Table II's C/iteration regime (~0.1–3).
+/// The scaled-down erosion configuration every Figure-4/5 sweep shares. The
+/// geometry ratios (radius/rows = 1/4, one rock per stripe) match the
+/// paper; the absolute scale is reduced so a full sweep runs in seconds, and
+/// the α-β constants place the LB cost in Table II's C/iteration regime
+/// (~0.1–3).
 [[nodiscard]] erosion::AppConfig scaled_app_config(std::int64_t pe_count,
                                                    std::int64_t strong_rocks,
                                                    erosion::Method method,
@@ -141,36 +141,6 @@ struct ServedSweepResult {
     const serve::ServeOptions& options);
 
 // ---------------------------------------------------------------------------
-// Partitioner ablation (bench_ablation_partitioner; `erosion --partitioner`
-// drives the same ErosionApp implementation)
-// ---------------------------------------------------------------------------
-
-/// Bottleneck ratios of each partitioner on one snapshot of the evolving
-/// erosion column-weight profile (even targets; 1.0 = ideal cut).
-struct PartitionerQualityRow {
-  std::int64_t iteration = 0;
-  std::vector<double> ratios;  ///< parallel to the `names` argument
-};
-
-/// Evolve the scaled erosion domain (pe_count discs, 1 strong, placement
-/// from `seed`) and sample the cutting quality of every named partitioner
-/// every `iterations_between` iterations, `snapshots` + 1 times.
-[[nodiscard]] std::vector<PartitionerQualityRow> partitioner_quality_sweep(
-    std::span<const std::string> names, std::int64_t pe_count,
-    std::int64_t snapshots, std::int64_t iterations_between,
-    std::uint64_t seed);
-
-/// Median end-to-end erosion times per partitioner (standard vs. ULBA).
-struct PartitionerEndToEnd {
-  std::string name;
-  double median_standard = 0.0;
-  double median_ulba = 0.0;
-};
-[[nodiscard]] std::vector<PartitionerEndToEnd> partitioner_end_to_end(
-    std::span<const std::string> names, std::int64_t pe_count,
-    std::int64_t strong_rocks, std::span<const std::uint64_t> seeds);
-
-// ---------------------------------------------------------------------------
 // Fig-2 interval-quality sweep (ulba_cli interval-quality,
 // bench_fig2_interval_quality)
 // ---------------------------------------------------------------------------
@@ -195,11 +165,9 @@ struct IntervalQualitySample {
 // `erosion --ranks` drives the same ErosionApp implementation)
 // ---------------------------------------------------------------------------
 
-/// One (rank count, partitioner, exchange mode) cell of the distributed
-/// scaling sweep.
+/// One (rank count, exchange mode) cell of the distributed scaling sweep.
 struct DistributedScalingRow {
   std::int64_t ranks = 0;
-  std::string partitioner;
   std::string exchange;          ///< "alltoall" | "neighbor"
   double wall_seconds = 0.0;     ///< measured host wall clock of the run
   double virtual_seconds = 0.0;  ///< RunResult::total_seconds (rank-invariant)
@@ -210,18 +178,17 @@ struct DistributedScalingRow {
   /// the number the neighbor-vs-all-to-all comparison is about.
   std::int64_t step_messages = 0;
   /// 1 when every trajectory-facing RunResult field (times, LB schedule,
-  /// per-step α's, per-iteration records) is bit-identical to the ranks = 1
-  /// reference — the determinism contract.
+  /// per-iteration records) is bit-identical to the ranks = 1 reference —
+  /// the determinism contract.
   std::uint8_t matches_serial = 0;
 };
 
 /// Run the scaled erosion app distributed over every rank count ×
-/// partitioner × exchange-mode combination and compare each RunResult
-/// bit-for-bit against the in-process reference. Runs sequentially (each
-/// cell already spawns `ranks` SPMD threads).
+/// exchange-mode combination and compare each RunResult bit-for-bit against
+/// the in-process reference. Runs sequentially (each cell already spawns
+/// `ranks` SPMD threads).
 [[nodiscard]] std::vector<DistributedScalingRow> distributed_erosion_scaling(
     std::span<const std::int64_t> rank_counts,
-    std::span<const std::string> partitioners,
     std::span<const std::string> exchanges, std::int64_t pe_count,
     std::int64_t strong_rocks, std::uint64_t seed, std::int64_t iterations);
 

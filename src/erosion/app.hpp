@@ -77,11 +77,11 @@ struct AppConfig {
   TriggerMode trigger_mode = TriggerMode::kAdaptive;
   std::int64_t lb_period = 50;  ///< used by TriggerMode::kPeriodic
 
-  /// Cutting algorithm, by lb::make_partitioner name: "greedy" (the paper's
-  /// §IV-B stripe technique), "rcb", "optimal" (E-X5), or "stripe" (even
-  /// widths). Drives BOTH the centralized LB technique's cuts and — when
-  /// `ranks` > 1 — the rank-stripe cuts of the distributed stepper.
-  std::string partitioner = "greedy-scan";
+  /// Cutting algorithm, by lb::make_partitioner name. "greedy" (the paper's
+  /// §IV-B stripe technique) is the only one; it cuts both the centralized
+  /// LB technique's stripes and — when `ranks` > 1 — the rank stripes of
+  /// the distributed stepper.
+  std::string partitioner = "greedy";
 
   /// SPMD ranks stepping the erosion dynamics through the message-passing
   /// runtime (erosion::DistributedDomain): each rank owns a contiguous
@@ -89,8 +89,8 @@ struct AppConfig {
   /// halo deltas, frontier metadata, and LB-step migrations travel as real
   /// runtime::Mailbox messages. 1 = the in-process ErosionDomain. The
   /// trajectory and the final report are bit-identical to the in-process
-  /// run for every (ranks, partitioner, threads) combination; `threads` > 1
-  /// gives each rank its own stepping pool.
+  /// run for every (ranks, threads) combination; `threads` > 1 gives each
+  /// rank its own stepping pool.
   std::int64_t ranks = 1;
 
   /// Per-step exchange protocol of the distributed stepper, by

@@ -12,13 +12,13 @@
 //     straddling a boundary requires — together with the updated frontier
 //     sizes of its own discs (the replicated frontier_size() observer) and
 //     its eroded-cell total;
-//   * per rebalance, the stripes are recut by any lb::Partitioner and both
-//     column weights and whole DiscStates change owner as serialized
-//     messages, with the analytic lb::migration_volume prediction validated
-//     against the columns that were actually exchanged.
+//   * per rebalance, the stripes are recut by the paper's greedy scan
+//     (lb::Partitioner) and both column weights and whole DiscStates change
+//     owner as serialized messages, with the analytic lb::migration_volume
+//     prediction validated against the columns that were actually exchanged.
 //
 // Determinism contract (locked by tests/test_distributed_erosion): for
-// EVERY (rank count, partitioner, exchange mode, per-rank thread count) the
+// EVERY (rank count, stripe cut, exchange mode, per-rank thread count) the
 // trajectory and the final domain report are BIT-identical to
 // ErosionDomain::step_counter on an undistributed copy. Two properties make
 // this hold by construction: every draw is addressed by (global disc id,
@@ -115,7 +115,7 @@ class DistributedDomain {
   /// id, iteration, cell) through support::CounterRng, so the per-step cost
   /// of a rank is O(its own frontier). Returns the GLOBAL eroded-cell count
   /// — the value ErosionDomain::step_counter on an undistributed copy
-  /// returns, for every (rank count, partitioner, exchange mode, pool size).
+  /// returns, for every (rank count, stripe cut, exchange mode, pool size).
   std::int64_t step_counter(std::uint64_t seed, std::int64_t iteration,
                             support::ThreadPool* pool = nullptr);
 

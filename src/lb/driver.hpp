@@ -71,12 +71,9 @@ class CentralizedLb {
 
   [[nodiscard]] const bsp::CommModel& comm() const noexcept { return comm_; }
 
-  /// Swap the cutting algorithm (defaults to the paper's greedy scan).
-  /// Shared ownership so several drivers can reuse one partitioner.
+  /// Share a partitioner with another driver (the paper's greedy scan
+  /// either way).
   void set_partitioner(std::shared_ptr<const Partitioner> partitioner);
-  [[nodiscard]] const Partitioner& partitioner() const noexcept {
-    return *partitioner_;
-  }
 
  private:
   bsp::CommModel comm_;
@@ -84,7 +81,7 @@ class CentralizedLb {
   double partition_flops_per_column_;
   double rebuild_Bps_;
   std::shared_ptr<const Partitioner> partitioner_ =
-      std::make_shared<GreedyScanPartitioner>();
+      std::make_shared<const Partitioner>();
 };
 
 }  // namespace ulba::lb

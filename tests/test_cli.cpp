@@ -5,6 +5,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "cli/args.hpp"
 
@@ -30,7 +31,7 @@ TEST(FlagMap, FallbacksApplyWhenAbsent) {
   const FlagMap flags({}, {});
   EXPECT_EQ(flags.get_int("P", 7), 7);
   EXPECT_DOUBLE_EQ(flags.get_double("alpha", 0.5), 0.5);
-  EXPECT_EQ(flags.get_string("partitioner", "rcb"), "rcb");
+  EXPECT_EQ(flags.get_string("mode", "dp"), "dp");
   EXPECT_EQ(flags.get_seed("seed", 11u), 11u);
 }
 
@@ -46,6 +47,18 @@ TEST(FlagMap, RejectsMalformedNumbers) {
   const FlagMap flags({"--P", "12abc", "--alpha", "zero"}, {});
   EXPECT_THROW((void)flags.get_int("P", 0), std::invalid_argument);
   EXPECT_THROW((void)flags.get_double("alpha", 0.0), std::invalid_argument);
+  // strtod parses these, but no numeric knob takes a non-finite value.
+  for (const std::string value : {"inf", "-inf", "nan"}) {
+    const FlagMap non_finite({"--lb-cost", value}, {});
+    try {
+      (void)non_finite.get_double("lb-cost", 1.0);
+      ADD_FAILURE() << value << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("expects a finite number"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FlagMap, RejectsNegativeSeedAndOverflow) {

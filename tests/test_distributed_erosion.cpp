@@ -1,11 +1,13 @@
 // Partition-invariance property suite for erosion::DistributedDomain.
 //
-// The load-bearing claim: for EVERY (rank count, partitioner, exchange mode,
+// The load-bearing claim: for EVERY (rank count, stripe cut, exchange mode,
 // per-rank thread count), stepping the domain distributed over the SPMD
 // runtime is BIT-identical to ErosionDomain::step_counter on one process —
 // the same global counters and the same per-column FLOP accounting (exact
 // FP equality) — and this survives mid-run rebalances that migrate disc
-// ownership and column weights as real runtime::Mailbox messages. On top of that, the analytic
+// ownership and column weights as real runtime::Mailbox messages, including
+// recuts against a random profile that put the greedy scan's stripes where
+// the real weights never would. On top of that, the analytic
 // lb::migration_volume prediction must match the bytes the rebalance
 // actually exchanged.
 #include "erosion/distributed_domain.hpp"
@@ -32,9 +34,21 @@
 namespace ulba::erosion {
 namespace {
 
-std::shared_ptr<const lb::Partitioner> shared_partitioner(
-    const std::string& name) {
-  return std::shared_ptr<const lb::Partitioner>(lb::make_partitioner(name));
+std::shared_ptr<const lb::Partitioner> greedy() {
+  return lb::make_partitioner("greedy");
+}
+
+/// A seeded random full-width column profile, heavy-tailed so the greedy
+/// cut against it lands far from the cut of the real weights. Built before
+/// spmd_run, so every rank passes identical contents to rebalance(span).
+std::vector<double> random_skew(std::int64_t columns, std::uint64_t seed) {
+  support::Rng rng(seed);
+  std::vector<double> skew(static_cast<std::size_t>(columns));
+  for (double& w : skew) {
+    const double u = rng.uniform(0.0, 1.0);
+    w = u * u * u;
+  }
+  return skew;
 }
 
 /// Serial in-process reference: the domain after `steps` iterations.
@@ -121,9 +135,9 @@ void expect_complete_disjoint_cover(runtime::Comm& comm,
 }
 
 /// A domain whose discs straddle rank-stripe boundaries by construction:
-/// radius-10 discs over 64 columns, so the 8-rank even cut (width 8) slices
-/// straight through both bounding boxes — every step then exchanges halo
-/// deltas for columns owned by up to three other ranks.
+/// radius-10 discs over 64 columns, so the 8-rank greedy cut (stripes 7–9
+/// columns wide) slices straight through both bounding boxes — every step
+/// then exchanges halo deltas for columns owned by up to three other ranks.
 DomainConfig adversarial_boundary_config() {
   DomainConfig cfg;
   cfg.columns = 64;
@@ -137,21 +151,22 @@ TEST(DistributedErosion, CoverIsCompleteAndDisjointAcrossRanks) {
   support::Rng config_rng(2024);
   for (int trial = 0; trial < 4; ++trial) {
     const DomainConfig cfg = testing::random_domain_config(config_rng);
-    for (const std::string& name : lb::partitioner_names()) {
-      for (const int ranks : {1, 2, 3, 5, 8}) {
-        if (ranks > cfg.columns) continue;
-        runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
-          DistributedDomain domain(cfg, comm, shared_partitioner(name));
-          expect_complete_disjoint_cover(comm, domain);
-        });
-      }
+    for (const int ranks : {1, 2, 3, 5, 8}) {
+      if (ranks > cfg.columns) continue;
+      runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
+        DistributedDomain domain(cfg, comm, greedy());
+        expect_complete_disjoint_cover(comm, domain);
+      });
     }
   }
 }
 
 /// One serial trajectory must be reproduced bit for bit by every (rank
-/// count, partitioner, exchange mode, per-rank pool) combination, across
-/// mid-run rebalances that migrate disc ownership as real messages.
+/// count, exchange mode, per-rank pool) combination, across mid-run
+/// rebalances that migrate disc ownership as real messages: one recut
+/// against the real weights, then one against a random profile
+/// (rebalance(span) cuts against the vector it is given but migrates the
+/// real weights).
 TEST(DistributedErosion, BitIdenticalToSerialForEveryRankExchangePool) {
   constexpr int kSteps = 14;
   support::Rng config_rng(4242);
@@ -160,33 +175,31 @@ TEST(DistributedErosion, BitIdenticalToSerialForEveryRankExchangePool) {
     const std::uint64_t seed = 8000 + static_cast<std::uint64_t>(trial);
 
     const SerialReference ref = serial_reference(cfg, seed, kSteps);
+    const std::vector<double> skew = random_skew(cfg.columns, seed);
 
-    for (const std::string& name : lb::partitioner_names()) {
-      for (const int ranks : {1, 2, 4, 8}) {
-        for (const ExchangeMode mode :
-             {ExchangeMode::kAllToAll, ExchangeMode::kNeighbor}) {
-          for (const std::size_t threads : {1u, 2u}) {
-            runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
-              DistributedDomain domain(cfg, comm, shared_partitioner(name),
-                                       mode);
-              std::optional<support::ThreadPool> pool;
-              if (threads > 1) pool.emplace(threads);
-              std::int64_t eroded_total = 0;
-              for (int s = 0; s < kSteps; ++s) {
-                eroded_total += domain.step_counter(
-                    seed, s, pool ? &*pool : nullptr);
-                if (s == kSteps / 2) (void)domain.rebalance();
-              }
-              EXPECT_EQ(eroded_total, ref.eroded);
-              expect_matches_reference(
-                  ref, domain,
-                  "trial " + std::to_string(trial) +
-                      ", partitioner " + name + ", ranks " +
-                      std::to_string(ranks) + ", exchange " +
-                      exchange_mode_name(mode) + ", threads " +
-                      std::to_string(threads));
-            });
-          }
+    for (const int ranks : {1, 2, 4, 8}) {
+      for (const ExchangeMode mode :
+           {ExchangeMode::kAllToAll, ExchangeMode::kNeighbor}) {
+        for (const std::size_t threads : {1u, 2u}) {
+          runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
+            DistributedDomain domain(cfg, comm, greedy(), mode);
+            std::optional<support::ThreadPool> pool;
+            if (threads > 1) pool.emplace(threads);
+            std::int64_t eroded_total = 0;
+            for (int s = 0; s < kSteps; ++s) {
+              eroded_total +=
+                  domain.step_counter(seed, s, pool ? &*pool : nullptr);
+              if (s == kSteps / 2) (void)domain.rebalance();
+              if (s == 3 * kSteps / 4) (void)domain.rebalance(skew);
+            }
+            EXPECT_EQ(eroded_total, ref.eroded);
+            expect_matches_reference(
+                ref, domain,
+                "trial " + std::to_string(trial) + ", ranks " +
+                    std::to_string(ranks) + ", exchange " +
+                    exchange_mode_name(mode) + ", threads " +
+                    std::to_string(threads));
+          });
         }
       }
     }
@@ -201,34 +214,30 @@ TEST(DistributedErosion, MidRunMigrationKeepsTrajectoryAndCover) {
     const std::uint64_t seed = 42 + static_cast<std::uint64_t>(trial);
     const SerialReference ref = serial_reference(cfg, seed, kSteps);
 
-    for (const std::string name : {"greedy", "rcb", "optimal", "stripe"}) {
-      const int ranks = 4;
-      if (ranks > cfg.columns) continue;
-      runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
-        DistributedDomain domain(cfg, comm, shared_partitioner(name));
-        support::ThreadPool pool(2);
-        for (int s = 0; s < kSteps; ++s) {
-          (void)domain.step_counter(seed, s, &pool);
-          if (s % 6 == 5) {
-            const DistributedReshardResult res = domain.rebalance();
-            EXPECT_EQ(res.boundaries.size(),
-                      static_cast<std::size_t>(ranks) + 1);
-            EXPECT_GE(res.discs_moved, 0);
-            expect_complete_disjoint_cover(comm, domain);
-          }
+    const int ranks = 4;
+    if (ranks > cfg.columns) continue;
+    runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
+      DistributedDomain domain(cfg, comm, greedy());
+      support::ThreadPool pool(2);
+      for (int s = 0; s < kSteps; ++s) {
+        (void)domain.step_counter(seed, s, &pool);
+        if (s % 6 == 5) {
+          const DistributedReshardResult res = domain.rebalance();
+          EXPECT_EQ(res.boundaries.size(),
+                    static_cast<std::size_t>(ranks) + 1);
+          EXPECT_GE(res.discs_moved, 0);
+          expect_complete_disjoint_cover(comm, domain);
         }
-        expect_matches_reference(ref, domain,
-                                 std::string("rebalance, partitioner ") +
-                                     name + ", trial " +
-                                     std::to_string(trial));
-      });
-    }
+      }
+      expect_matches_reference(ref, domain,
+                               "rebalance, trial " + std::to_string(trial));
+    });
   }
 }
 
 /// Both wire protocols must produce the SAME domain — bit-equal weights and
-/// counters — including across a mid-run rebalance that reshapes the
-/// neighbor sets.
+/// counters — including across mid-run rebalances that reshape the neighbor
+/// sets, one of them against a random profile.
 TEST(DistributedErosion, StepExchangeModesAreBitIdenticalAcrossModes) {
   constexpr int kSteps = 18;
   support::Rng config_rng(808);
@@ -236,24 +245,22 @@ TEST(DistributedErosion, StepExchangeModesAreBitIdenticalAcrossModes) {
     const DomainConfig cfg = testing::random_domain_config(config_rng);
     const std::uint64_t seed = 700 + static_cast<std::uint64_t>(trial);
     const SerialReference ref = serial_reference(cfg, seed, kSteps);
-    for (const std::string& name : lb::partitioner_names()) {
-      for (const int ranks : {2, 4, 8}) {
-        if (ranks > cfg.columns) continue;
-        for (const ExchangeMode mode :
-             {ExchangeMode::kAllToAll, ExchangeMode::kNeighbor}) {
-          runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
-            DistributedDomain domain(cfg, comm, shared_partitioner(name),
-                                     mode);
-            for (int s = 0; s < kSteps; ++s) {
-              (void)domain.step_counter(seed, s);
-              if (s == kSteps / 2) (void)domain.rebalance();
-            }
-            expect_matches_reference(
-                ref, domain,
-                "exchange " + exchange_mode_name(mode) + ", partitioner " +
-                    name + ", ranks " + std::to_string(ranks));
-          });
-        }
+    const std::vector<double> skew = random_skew(cfg.columns, seed);
+    for (const int ranks : {2, 4, 8}) {
+      if (ranks > cfg.columns) continue;
+      for (const ExchangeMode mode :
+           {ExchangeMode::kAllToAll, ExchangeMode::kNeighbor}) {
+        runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
+          DistributedDomain domain(cfg, comm, greedy(), mode);
+          for (int s = 0; s < kSteps; ++s) {
+            (void)domain.step_counter(seed, s);
+            if (s == kSteps / 2) (void)domain.rebalance();
+            if (s == 3 * kSteps / 4) (void)domain.rebalance(skew);
+          }
+          expect_matches_reference(ref, domain,
+                                   "exchange " + exchange_mode_name(mode) +
+                                       ", ranks " + std::to_string(ranks));
+        });
       }
     }
   }
@@ -274,57 +281,53 @@ TEST(DistributedErosion, NeighborExchangeSendsStrictlyFewerStepMessages) {
   cfg.validate();
   constexpr int kSteps = 10;
 
-  for (const std::string& name : lb::partitioner_names()) {
-    for (const int ranks : {4, 8}) {
-      std::uint64_t msgs[2] = {0, 0};
-      std::uint64_t bytes[2] = {0, 0};
-      for (const ExchangeMode mode :
-           {ExchangeMode::kAllToAll, ExchangeMode::kNeighbor}) {
-        const auto m = static_cast<std::size_t>(mode == ExchangeMode::kNeighbor);
-        runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
-          DistributedDomain domain(cfg, comm, shared_partitioner(name), mode);
-          // The traffic counters are world-global, so each snapshot sits in
-          // a barrier-bracketed quiescent window (a lone barrier is not
-          // enough: released ranks race ahead into their next sends).
-          comm.barrier();
-          const runtime::TrafficCounters before = comm.traffic();
-          comm.barrier();
-          for (int s = 0; s < kSteps; ++s) (void)domain.step_counter(4, s);
-          comm.barrier();
-          const runtime::TrafficCounters after = comm.traffic();
-          comm.barrier();
-          const auto my_msgs =
-              static_cast<std::int64_t>(domain.step_messages_sent());
-          const auto my_bytes =
-              static_cast<std::int64_t>(domain.step_payload_bytes_sent());
-          const std::int64_t total_msgs = comm.allreduce(my_msgs);
-          const std::int64_t total_bytes = comm.allreduce(my_bytes);
-          if (comm.rank() == 0) {
-            msgs[m] = static_cast<std::uint64_t>(total_msgs);
-            bytes[m] = static_cast<std::uint64_t>(total_bytes);
-            // The pure step loop sends nothing but the exchange itself, so
-            // the runtime counters must agree exactly with the domain's
-            // accounting (minus the allreduce/barrier bracket, which runs
-            // after `after` was snapshotted).
-            EXPECT_EQ(after.messages - before.messages,
-                      static_cast<std::uint64_t>(total_msgs))
-                << name << ", ranks " << ranks << ", "
-                << exchange_mode_name(mode);
-            EXPECT_EQ(after.payload_bytes - before.payload_bytes,
-                      static_cast<std::uint64_t>(total_bytes))
-                << name << ", ranks " << ranks << ", "
-                << exchange_mode_name(mode);
-          }
-        });
-      }
-      EXPECT_LT(msgs[1], msgs[0])
-          << name << ", ranks " << ranks
-          << " — neighbor mode must send strictly fewer step messages";
-      EXPECT_LT(bytes[1], bytes[0]) << name << ", ranks " << ranks;
-      // All-to-all is exactly R·(R−1) messages per step, by construction.
-      EXPECT_EQ(msgs[0], static_cast<std::uint64_t>(ranks) *
-                             static_cast<std::uint64_t>(ranks - 1) * kSteps);
+  for (const int ranks : {4, 8}) {
+    std::uint64_t msgs[2] = {0, 0};
+    std::uint64_t bytes[2] = {0, 0};
+    for (const ExchangeMode mode :
+         {ExchangeMode::kAllToAll, ExchangeMode::kNeighbor}) {
+      const auto m = static_cast<std::size_t>(mode == ExchangeMode::kNeighbor);
+      runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
+        DistributedDomain domain(cfg, comm, greedy(), mode);
+        // The traffic counters are world-global, so each snapshot sits in a
+        // barrier-bracketed quiescent window (a lone barrier is not enough:
+        // released ranks race ahead into their next sends).
+        comm.barrier();
+        const runtime::TrafficCounters before = comm.traffic();
+        comm.barrier();
+        for (int s = 0; s < kSteps; ++s) (void)domain.step_counter(4, s);
+        comm.barrier();
+        const runtime::TrafficCounters after = comm.traffic();
+        comm.barrier();
+        const auto my_msgs =
+            static_cast<std::int64_t>(domain.step_messages_sent());
+        const auto my_bytes =
+            static_cast<std::int64_t>(domain.step_payload_bytes_sent());
+        const std::int64_t total_msgs = comm.allreduce(my_msgs);
+        const std::int64_t total_bytes = comm.allreduce(my_bytes);
+        if (comm.rank() == 0) {
+          msgs[m] = static_cast<std::uint64_t>(total_msgs);
+          bytes[m] = static_cast<std::uint64_t>(total_bytes);
+          // The pure step loop sends nothing but the exchange itself, so the
+          // runtime counters must agree exactly with the domain's accounting
+          // (minus the allreduce/barrier bracket, which runs after `after`
+          // was snapshotted).
+          EXPECT_EQ(after.messages - before.messages,
+                    static_cast<std::uint64_t>(total_msgs))
+              << "ranks " << ranks << ", " << exchange_mode_name(mode);
+          EXPECT_EQ(after.payload_bytes - before.payload_bytes,
+                    static_cast<std::uint64_t>(total_bytes))
+              << "ranks " << ranks << ", " << exchange_mode_name(mode);
+        }
+      });
     }
+    EXPECT_LT(msgs[1], msgs[0])
+        << "ranks " << ranks
+        << " — neighbor mode must send strictly fewer step messages";
+    EXPECT_LT(bytes[1], bytes[0]) << "ranks " << ranks;
+    // All-to-all is exactly R·(R−1) messages per step, by construction.
+    EXPECT_EQ(msgs[0], static_cast<std::uint64_t>(ranks) *
+                           static_cast<std::uint64_t>(ranks - 1) * kSteps);
   }
 }
 
@@ -333,7 +336,7 @@ TEST(DistributedErosion, NeighborExchangeSendsStrictlyFewerStepMessages) {
 TEST(DistributedErosion, HaloNeighborSetsAreMutuallyConsistent) {
   const DomainConfig cfg = adversarial_boundary_config();
   runtime::spmd_run(8, [&](runtime::Comm& comm) {
-    DistributedDomain domain(cfg, comm, shared_partitioner("stripe"));
+    DistributedDomain domain(cfg, comm, greedy());
     // Exchange the send sets (one small message per peer) and verify each
     // against the local recv set.
     std::vector<std::int64_t> mine(domain.halo_send_neighbors().begin(),
@@ -359,7 +362,7 @@ TEST(DistributedErosion, HaloNeighborSetsAreMutuallyConsistent) {
 }
 
 TEST(DistributedErosion, HaloExchangeOnAdversarialBoundaryDiscs) {
-  // Both discs straddle multiple 8-column stripes, so every step routes
+  // Both discs straddle several 7–9-column stripes, so every step routes
   // eroded-cell deltas to several owning ranks; the weights must still be
   // bit-equal to the serial run, column by column.
   const DomainConfig cfg = adversarial_boundary_config();
@@ -367,19 +370,14 @@ TEST(DistributedErosion, HaloExchangeOnAdversarialBoundaryDiscs) {
   const std::uint64_t seed = 99;
   const SerialReference ref = serial_reference(cfg, seed, kSteps);
 
-  for (const std::string name : {"stripe", "greedy"}) {
-    runtime::spmd_run(8, [&](runtime::Comm& comm) {
-      DistributedDomain domain(cfg, comm, shared_partitioner(name));
-      // Sanity: under the even-stripe cut the first disc's bounding box
-      // [6, 26] really does span several stripes.
-      if (name == "stripe") {
-        EXPECT_NE(domain.owner_of_column(6), domain.owner_of_column(25));
-      }
-      for (int s = 0; s < kSteps; ++s) (void)domain.step_counter(seed, s);
-      expect_matches_reference(ref, domain,
-                               "adversarial boundary discs, " + name);
-    });
-  }
+  runtime::spmd_run(8, [&](runtime::Comm& comm) {
+    DistributedDomain domain(cfg, comm, greedy());
+    // Sanity: under the greedy cut the first disc's bounding box [6, 26]
+    // really does span several stripes.
+    EXPECT_NE(domain.owner_of_column(6), domain.owner_of_column(25));
+    for (int s = 0; s < kSteps; ++s) (void)domain.step_counter(seed, s);
+    expect_matches_reference(ref, domain, "adversarial boundary discs");
+  });
 }
 
 TEST(DistributedErosion, RebalanceMigratesStateAsMessagesAndMatchesModel) {
@@ -398,7 +396,7 @@ TEST(DistributedErosion, RebalanceMigratesStateAsMessagesAndMatchesModel) {
     // The greedy partitioner cuts against the CURRENT weights, so after the
     // strong disc erodes (and gains refined workload) the recut must move
     // the boundaries it chose for the initial profile.
-    DistributedDomain domain(cfg, comm, shared_partitioner("greedy"));
+    DistributedDomain domain(cfg, comm, greedy());
     for (int s = 0; s < 16; ++s) (void)domain.step_counter(7, s);
 
     const lb::StripeBoundaries before = domain.rank_boundaries();
@@ -441,7 +439,7 @@ TEST(DistributedErosion, FractionalLoadImbalanceMatchesGatheredStripeSums) {
     for (const int ranks : {2, 4}) {
       if (ranks > cfg.columns) continue;
       runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
-        DistributedDomain domain(cfg, comm, shared_partitioner("greedy"));
+        DistributedDomain domain(cfg, comm, greedy());
         for (int s = 0; s < 10; ++s) {
           (void)domain.step_counter(seed, s);
           if (s == 4) (void)domain.rebalance();
@@ -737,7 +735,7 @@ TEST(DistributedErosion, RejectsDegenerateConfigurations) {
   tiny.discs = {{4, 8, 1, 0.1}};
   tiny.validate();
   runtime::spmd_run(9, [&](runtime::Comm& comm) {
-    EXPECT_THROW(DistributedDomain(tiny, comm, shared_partitioner("stripe")),
+    EXPECT_THROW(DistributedDomain(tiny, comm, greedy()),
                  std::invalid_argument);
   });
 }

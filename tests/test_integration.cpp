@@ -1,5 +1,6 @@
 // Cross-module integration: miniature versions of the paper's experiments
-// and the model-vs-simulator consistency check of DESIGN.md §6.
+// and the check that the BSP machine reproduces the analytic model's
+// interval times.
 #include <gtest/gtest.h>
 
 #include <algorithm>

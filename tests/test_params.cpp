@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "test_helpers.hpp"
 
 namespace ulba::core {
@@ -77,6 +79,21 @@ TEST(Params, ValidateRejectsBadValues) {
   EXPECT_THROW(with([](auto& p) { p.omega = 0.0; }).validate(),
                std::invalid_argument);
   EXPECT_THROW(with([](auto& p) { p.lb_cost = -1.0; }).validate(),
+               std::invalid_argument);
+  // Non-finite values pass every sign check, so they are rejected by name.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(with([](auto& p) { p.w0 = kInf; }).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(with([](auto& p) { p.a = kInf; }).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(with([](auto& p) { p.m = kInf; }).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(with([](auto& p) { p.omega = kInf; }).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(with([](auto& p) { p.lb_cost = kInf; }).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(with([](auto& p) { p.lb_cost = kNan; }).validate(),
                std::invalid_argument);
 }
 

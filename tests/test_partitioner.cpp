@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "lb/driver.hpp"
 #include "lb/migration.hpp"
+#include "lb/partitioners.hpp"
 #include "lb/stripe_partitioner.hpp"
 #include "support/rng.hpp"
 
@@ -73,6 +75,26 @@ TEST(PartitionByWeight, Rejections) {
   EXPECT_THROW(
       (void)partition_by_weight(neg, std::vector<double>{0.5, 0.5}),
       std::invalid_argument);
+}
+
+TEST(MakePartitioner, GreedyIsTheOnlyName) {
+  const std::vector<double> w{1.0, 4.0, 1.0, 1.0, 2.0, 3.0};
+  const std::vector<double> f{0.25, 0.25, 0.5};
+  EXPECT_EQ(make_partitioner("greedy")->partition(w, f),
+            partition_by_weight(w, f));
+  // The retired cutters and the old long spellings are rejected, and the
+  // error names the one accepted cutter.
+  for (const std::string name :
+       {"rcb", "optimal", "stripe", "greedy-scan", "optimal-ratio", "metis"}) {
+    try {
+      (void)make_partitioner(name);
+      ADD_FAILURE() << name << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("(accepted: greedy)"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(StripeLoads, SumsAndImbalance) {

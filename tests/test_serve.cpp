@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -124,6 +125,15 @@ TEST(ScheduleQueryCodec, RequestValidation) {
   EXPECT_NO_THROW(request.validate());
   request.alpha_grid = {0.5, 1.5};
   EXPECT_THROW(request.validate(), std::invalid_argument);
+  // A non-finite model parameter from the wire is a usage error in both
+  // modes, never an inf/nan answer or an internal invariant.
+  for (const core::EvalMode mode :
+       {core::EvalMode::kSigmaGrid, core::EvalMode::kExactDp}) {
+    core::ScheduleRequest non_finite = sample_request(3, mode);
+    non_finite.params.w0 = std::numeric_limits<double>::infinity();
+    EXPECT_THROW((void)opt::evaluate_schedule_request(non_finite),
+                 std::invalid_argument);
+  }
 }
 
 TEST(ScheduleCache, HitIsBitIdenticalToCold) {
