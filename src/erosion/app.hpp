@@ -64,9 +64,10 @@ struct AppConfig {
   bsp::CommModel comm{};
   std::uint64_t seed = 1;
   /// Host threads stepping the erosion dynamics (per rank when ranks > 1).
-  /// 1 = inline serial stepping; any value > 1 runs the counter kernel on a
-  /// thread pool. The draws are addressed by (disc, iteration, cell), so the
-  /// trajectory is bit-identical for every thread count.
+  /// 1 = inline serial stepping; any value > 1 steps the discs (of each
+  /// rank) on a thread pool, one task per disc, so no more threads than
+  /// discs do work. The draws are addressed by (disc, iteration, cell), so
+  /// the trajectory is bit-identical for every thread count.
   std::int64_t threads = 1;
   /// Add Eq. (11)'s anticipated underloading overhead to the trigger
   /// threshold (ULBA only) — §III-C: "the load balancer is called every time

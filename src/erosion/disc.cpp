@@ -53,39 +53,6 @@ DiscState build_disc_state(const RockDisc& disc) {
   return d;
 }
 
-void apply_disc(DiscState& d, const std::vector<std::int32_t>& to_erode) {
-  if (to_erode.empty()) return;
-
-  // Rock → refined fluid.
-  for (const std::int32_t idx : to_erode) {
-    d.cells[static_cast<std::size_t>(idx)] = Cell::kRefined;
-    --d.rock_remaining;
-  }
-
-  // Newly exposed interior rock joins the frontier.
-  const auto expose = [&](std::int64_t lx, std::int64_t ly) {
-    if (lx < 0 || ly < 0 || lx >= d.side || ly >= d.side) return;
-    const auto idx = static_cast<std::size_t>(ly * d.side + lx);
-    if (d.cells[idx] == Cell::kRockInterior) {
-      d.cells[idx] = Cell::kRockFrontier;
-      d.frontier.push_back(static_cast<std::int32_t>(idx));
-    }
-  };
-  for (const std::int32_t idx : to_erode) {
-    const std::int64_t lx = idx % d.side;
-    const std::int64_t ly = idx / d.side;
-    expose(lx - 1, ly);
-    expose(lx + 1, ly);
-    expose(lx, ly - 1);
-    expose(lx, ly + 1);
-  }
-
-  // Compact the frontier list: drop everything that is no longer frontier.
-  std::erase_if(d.frontier, [&](std::int32_t idx) {
-    return d.cells[static_cast<std::size_t>(idx)] != Cell::kRockFrontier;
-  });
-}
-
 namespace {
 
 // Wire layout: 1 × int64 format version + 6 × int64 header {disc_id, x0,
@@ -175,21 +142,42 @@ DiscState deserialize_disc(std::span<const std::byte> payload,
   d.cells.resize(static_cast<std::size_t>(cell_count));
   std::memcpy(d.cells.data(), payload.data(), d.cells.size());
   payload = payload.subspan(d.cells.size());
-  for (const Cell c : d.cells)
+  std::int64_t rock_cells = 0;
+  std::int64_t frontier_cells = 0;
+  for (const Cell c : d.cells) {
     ULBA_REQUIRE(c <= Cell::kRefined,
                  "disc payload holds an unknown cell state");
+    if (c == Cell::kRockInterior) ++rock_cells;
+    if (c == Cell::kRockFrontier) {
+      ++rock_cells;
+      ++frontier_cells;
+    }
+  }
+  ULBA_REQUIRE(d.rock_remaining == rock_cells,
+               "disc payload rock count does not match its cells");
+  ULBA_REQUIRE(frontier_count == frontier_cells,
+               "disc payload frontier size does not match its frontier cells");
   d.frontier.resize(static_cast<std::size_t>(frontier_count));
   // A fully eroded disc migrates with an empty frontier: both memcpy
   // pointers would be null there, and both are declared nonnull.
   if (!d.frontier.empty())
     std::memcpy(d.frontier.data(), payload.data(),
                 d.frontier.size() * sizeof(std::int32_t));
-  // The stepping kernels index cells by frontier entry unchecked.
-  for (const std::int32_t idx : d.frontier)
+  // The stepping kernel indexes cells by frontier entry unchecked, and
+  // erodes a cell listed twice twice. Each entry must name a frontier cell
+  // no earlier entry named — entries already seen are parked as interior
+  // rock, then restored — so with the count above the frontier lists every
+  // frontier cell exactly once.
+  for (const std::int32_t idx : d.frontier) {
     ULBA_REQUIRE(idx >= 0 && idx < cell_count &&
                      d.cells[static_cast<std::size_t>(idx)] ==
                          Cell::kRockFrontier,
-                 "disc payload frontier entry is not a frontier cell");
+                 "disc payload frontier entry is not a frontier cell, or "
+                 "is listed twice");
+    d.cells[static_cast<std::size_t>(idx)] = Cell::kRockInterior;
+  }
+  for (const std::int32_t idx : d.frontier)
+    d.cells[static_cast<std::size_t>(idx)] = Cell::kRockFrontier;
   return d;
 }
 

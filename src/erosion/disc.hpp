@@ -1,13 +1,9 @@
-// Disc-local erosion mechanics, factored out of ErosionDomain so both
-// steppers — the in-process domain and the SPMD-distributed stepper — drive
-// ONE implementation of the cellular automaton:
+// Disc-local erosion state, shared by both steppers — the in-process domain
+// and the SPMD-distributed stepper — which step it through ONE kernel
+// (erosion/counter_kernel.hpp):
 //
 //   * build_disc_state  — rasterize a RockDisc into its bounding-box cell
 //                         grid and initial frontier;
-//   * apply_disc        — the disc-local half of a step, after the counter
-//                         kernel (erosion/counter_kernel.hpp) decided which
-//                         frontier cells erode: flip cells to refined,
-//                         expose interior rock, compact the frontier;
 //   * serialize_disc /  — byte-exact migration format, so a disc can change
 //     deserialize_disc    owner as one real message between address spaces.
 //
@@ -62,10 +58,6 @@ struct DiscState {
 [[nodiscard]] std::pair<std::int64_t, std::int64_t> disc_column_span(
     const RockDisc& disc);
 
-/// Disc-local — flip cells to refined, expose interior rock,
-/// compact the frontier. Touches nothing outside `d`.
-void apply_disc(DiscState& d, const std::vector<std::int32_t>& to_erode);
-
 /// Byte-exact wire format for migrating disc ownership between ranks.
 /// `disc_id` travels with the state so the receiver can verify it got the
 /// hand-off it expected.
@@ -73,7 +65,9 @@ void apply_disc(DiscState& d, const std::vector<std::int32_t>& to_erode);
                                                     const DiscState& d);
 
 /// Inverse of serialize_disc; throws std::invalid_argument on a malformed
-/// payload or when the embedded disc id differs from `expected_disc_id`.
+/// payload, on an inconsistent disc (the frontier must list every
+/// kRockFrontier cell exactly once and rock_remaining must count the rock
+/// cells), or when the embedded disc id differs from `expected_disc_id`.
 [[nodiscard]] DiscState deserialize_disc(std::span<const std::byte> payload,
                                          std::size_t expected_disc_id);
 

@@ -265,7 +265,7 @@ class DistributedDomain {
 
   std::int64_t rock_remaining_ = 0;
   std::int64_t eroded_ = 0;
-  CounterWorkspace counter_ws_;  ///< step_counter's reusable flat buffers
+  CounterWorkspace counter_ws_;  ///< step_counter's per-disc erode lists
 };
 
 }  // namespace ulba::erosion

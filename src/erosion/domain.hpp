@@ -98,7 +98,7 @@ class ErosionDomain {
   double total_ = 0.0;
   std::int64_t rock_remaining_ = 0;
   std::int64_t eroded_ = 0;
-  // step_counter's reusable buffers: disc ids 0..n-1 + flat SoA arrays.
+  // step_counter's reusable buffers: disc ids 0..n-1 + per-disc erode lists.
   std::vector<std::size_t> counter_ids_;
   CounterWorkspace counter_ws_;
 };

@@ -1,18 +1,18 @@
 // A small persistent worker pool for data-parallel loops.
 //
-// The erosion simulator's hot loop (ErosionDomain::step) and the sweep
-// layer's parallel_map (cli/sweep.hpp) need "run fn(i) for i in [0, n) on k
-// threads, then wait" — nothing more. ThreadPool keeps k-1 workers parked on
-// a condition variable between calls so per-step dispatch overhead stays in
-// the microsecond range, and the calling thread always participates (a pool
-// of 1 runs everything inline, with no workers and no synchronization — the
-// serial reference path).
+// The erosion step kernel (erosion::counter_decide_apply, one task per
+// disc) and the sweep layer's parallel_map (cli/sweep.hpp) need "run fn(i)
+// for i in [0, n) on k threads, then wait" — nothing more. ThreadPool keeps
+// k-1 workers parked on a condition variable between calls so per-step
+// dispatch overhead stays in the microsecond range, and the calling thread
+// always participates (a pool of 1 runs everything inline, with no workers
+// and no synchronization — the serial reference path).
 //
 // Determinism contract: parallel_for guarantees every index is executed
 // exactly once and the call does not return before all indices finish; it
 // guarantees nothing about order. Callers that need reproducible results must
-// make iterations independent (e.g. per-index RNG substreams) — see
-// ErosionDomain::step(rng, pool).
+// make iterations independent (e.g. position-addressed draws) — see
+// erosion/counter_kernel.hpp.
 #pragma once
 
 #include <condition_variable>

@@ -10,7 +10,8 @@
 //      other draws are taken at all.
 //   3. erosion::counter_decide_apply produces bit-identical domains for
 //      every pool size and for every partition of the disc set — the
-//      property the app-level threads/ranks invariance rests on.
+//      property the app-level threads/ranks invariance rests on — and its
+//      per-disc pass is pinned without Philox values at p = 1 and p = 0.
 #include "support/counter_rng.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <string>
@@ -215,6 +217,184 @@ TEST(CounterKernel, SubsetPartitioningCannotChangeTheDraws) {
     EXPECT_EQ(whole[k].frontier, split[k].frontier) << "disc " << k;
     ASSERT_EQ(whole[k].cells, split[k].cells) << "disc " << k;
   }
+}
+
+/// Steps raw disc states through counter_decide_apply for `steps`
+/// iterations with no pool and with a pool of each size in `pools`, in
+/// lockstep, and requires every pooled pass to leave exactly the serial
+/// pass's state: each disc's frontier (order included), cells and
+/// rock_remaining, and each erode list.
+void expect_pooled_passes_match_serial(const DomainConfig& cfg,
+                                       std::span<const std::size_t> pools,
+                                       int steps) {
+  cfg.validate();
+  std::vector<DiscState> serial;
+  for (const RockDisc& d : cfg.discs) serial.push_back(build_disc_state(d));
+  const std::size_t n = serial.size();
+  std::vector<std::size_t> ids(n);
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
+
+  struct Pooled {
+    Pooled(std::size_t threads, std::vector<DiscState> start)
+        : pool(threads), discs(std::move(start)) {}
+    support::ThreadPool pool;
+    std::vector<DiscState> discs;
+    CounterWorkspace ws;
+  };
+  std::vector<std::unique_ptr<Pooled>> pooled;
+  for (const std::size_t threads : pools)
+    pooled.push_back(std::make_unique<Pooled>(threads, serial));
+
+  CounterWorkspace ws;
+  std::int64_t eroded_total = 0;
+  for (int s = 0; s < steps; ++s) {
+    const std::int64_t eroded =
+        counter_decide_apply(serial, ids, 29, s, nullptr, ws);
+    eroded_total += eroded;
+    for (std::size_t p = 0; p < pooled.size(); ++p) {
+      Pooled& run = *pooled[p];
+      const std::string what = std::to_string(pools[p]) + " threads, step " +
+                               std::to_string(s);
+      ASSERT_EQ(eroded, counter_decide_apply(run.discs, ids, 29, s,
+                                             &run.pool, run.ws))
+          << what;
+      ASSERT_EQ(run.ws.erode.size(), n) << what;
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_EQ(ws.erode[k], run.ws.erode[k]) << what << ", disc " << k;
+        ASSERT_EQ(serial[k].frontier, run.discs[k].frontier)
+            << what << ", disc " << k;
+        ASSERT_EQ(serial[k].rock_remaining, run.discs[k].rock_remaining)
+            << what << ", disc " << k;
+        ASSERT_EQ(serial[k].cells, run.discs[k].cells)
+            << what << ", disc " << k;
+      }
+    }
+  }
+  EXPECT_GT(eroded_total, 0) << "the trial domain never eroded anything";
+}
+
+TEST(CounterKernel, PooledPassMatchesSerialStateForState) {
+  // Twelve discs of radius 40-46, one strong: thousands of frontier cells,
+  // so each pool runs twelve concurrent disc tasks of real size.
+  DomainConfig cfg;
+  cfg.columns = 12 * 100;
+  cfg.rows = 100;
+  for (std::int64_t i = 0; i < 12; ++i)
+    cfg.discs.push_back(RockDisc{50 + 100 * i, 50, 40 + 2 * (i % 4),
+                                 i == 5 ? 0.4 : 0.02 + 0.01 * (i % 3)});
+  std::size_t frontier = 0;
+  for (const RockDisc& d : cfg.discs)
+    frontier += build_disc_state(d).frontier.size();
+  ASSERT_GT(frontier, 2048u);
+  const std::array<std::size_t, 3> pools{2, 3, 8};
+  expect_pooled_passes_match_serial(cfg, pools, 30);
+
+  // Fewer discs than threads: six of the eight threads find no task.
+  DomainConfig pair;
+  pair.columns = 200;
+  pair.rows = 100;
+  pair.discs = {RockDisc{50, 50, 44, 0.4}, RockDisc{150, 50, 40, 0.05}};
+  const std::array<std::size_t, 1> eight{8};
+  expect_pooled_passes_match_serial(pair, eight, 30);
+}
+
+TEST(CounterKernel, CertainErosionPeelsTheFrontierInOrder) {
+  // At p = 1 every threshold with a fluid face is 2^53, above every draw,
+  // so the pass is fixed without looking at a single Philox value.
+  const RockDisc disc{10, 10, 3, 1.0};
+  std::vector<DiscState> discs{build_disc_state(disc)};
+  const DiscState before = discs[0];
+  ASSERT_EQ(before.rock_remaining, 29);
+  ASSERT_EQ(before.frontier.size(), 16u);
+  const std::size_t id = 0;
+  CounterWorkspace ws;
+
+  // The ring the initial frontier exposes: each eroded cell's rock-interior
+  // neighbours, left, right, up, down, in frontier order, each once.
+  const std::int64_t side = before.side;
+  std::vector<Cell> cells = before.cells;
+  for (const std::int32_t idx : before.frontier)
+    cells[static_cast<std::size_t>(idx)] = Cell::kRefined;
+  std::vector<std::int32_t> ring;
+  for (const std::int32_t idx : before.frontier) {
+    const std::int64_t lx = idx % side;
+    const std::int64_t ly = idx / side;
+    const std::array<std::array<std::int64_t, 2>, 4> around{
+        {{lx - 1, ly}, {lx + 1, ly}, {lx, ly - 1}, {lx, ly + 1}}};
+    for (const auto& [nx, ny] : around) {
+      if (nx < 0 || ny < 0 || nx >= side || ny >= side) continue;
+      const auto n = static_cast<std::size_t>(ny * side + nx);
+      if (cells[n] != Cell::kRockInterior) continue;
+      cells[n] = Cell::kRockFrontier;
+      ring.push_back(static_cast<std::int32_t>(n));
+    }
+  }
+  ASSERT_EQ(ring.size(), 8u);
+
+  EXPECT_EQ(counter_decide_apply(discs, {&id, 1}, 5, 0, nullptr, ws), 16);
+  EXPECT_EQ(ws.erode[0], before.frontier);
+  EXPECT_EQ(discs[0].frontier, ring);
+  EXPECT_EQ(discs[0].cells, cells);
+  EXPECT_EQ(discs[0].rock_remaining, 13);
+
+  // Then the ring, the four cells around the centre, and the centre.
+  std::int64_t iteration = 1;
+  for (const std::int64_t expected : {8, 4, 1}) {
+    const std::vector<std::int32_t> front = discs[0].frontier;
+    EXPECT_EQ(counter_decide_apply(discs, {&id, 1}, 5, iteration++, nullptr,
+                                   ws),
+              expected);
+    EXPECT_EQ(ws.erode[0], front);
+  }
+  EXPECT_TRUE(discs[0].frontier.empty());
+  EXPECT_EQ(discs[0].rock_remaining, 0);
+}
+
+TEST(CounterKernel, ExposeOrderIsLeftRightUpDown) {
+  // No frontier cell of the fresh radius-3 disc above has interior rock on
+  // two opposite sides, so a hand-built 3 x 3 box pins the rest of the
+  // order: rock everywhere but one fluid face of the centre, its only
+  // frontier cell. At p = 1 the centre erodes and exposes its three rock
+  // neighbours in the kernel's fixed order.
+  constexpr std::int32_t kUp = 1, kLeft = 3, kRight = 5, kDown = 7;
+  struct Case {
+    std::int32_t fluid;
+    std::vector<std::int32_t> exposed;
+  };
+  const std::size_t id = 0;
+  for (const Case& c : {Case{kUp, {kLeft, kRight, kDown}},
+                        Case{kLeft, {kRight, kUp, kDown}},
+                        Case{kRight, {kLeft, kUp, kDown}},
+                        Case{kDown, {kLeft, kRight, kUp}}}) {
+    DiscState d;
+    d.side = 3;
+    d.erosion_prob = 1.0;
+    d.cells.assign(9, Cell::kRockInterior);
+    d.cells[static_cast<std::size_t>(c.fluid)] = Cell::kOutside;
+    d.cells[4] = Cell::kRockFrontier;
+    d.frontier = {4};
+    d.rock_remaining = 8;
+    std::vector<DiscState> discs{d};
+    CounterWorkspace ws;
+    EXPECT_EQ(counter_decide_apply(discs, {&id, 1}, 5, 0, nullptr, ws), 1);
+    EXPECT_EQ(discs[0].frontier, c.exposed) << "fluid cell " << c.fluid;
+    EXPECT_EQ(discs[0].rock_remaining, 7);
+  }
+}
+
+TEST(CounterKernel, ZeroProbabilityNeverErodes) {
+  const RockDisc disc{10, 10, 3, 0.0};
+  std::vector<DiscState> discs{build_disc_state(disc)};
+  const DiscState before = discs[0];
+  const std::size_t id = 0;
+  CounterWorkspace ws;
+  for (int s = 0; s < 20; ++s) {
+    EXPECT_EQ(counter_decide_apply(discs, {&id, 1}, 5, s, nullptr, ws), 0);
+    EXPECT_TRUE(ws.erode[0].empty());
+  }
+  EXPECT_EQ(discs[0].frontier, before.frontier);
+  EXPECT_EQ(discs[0].cells, before.cells);
+  EXPECT_EQ(discs[0].rock_remaining, before.rock_remaining);
 }
 
 TEST(CounterKernel, RepeatingAnIterationRepeatsItsDraws) {

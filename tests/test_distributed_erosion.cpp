@@ -511,7 +511,20 @@ TEST(DistributedErosion, DiscHandOffRoundTripsBitExactly) {
   };
   const auto cell_count = static_cast<std::int64_t>(fresh.cells.size());
   const auto frontier_count = static_cast<std::int64_t>(fresh.frontier.size());
+  // Well-formed bytes of an inconsistent disc: the kernel would erode a
+  // cell listed twice twice, and credit its column twice.
+  const auto inconsistent = [&fresh](auto&& spoil) {
+    DiscState bad = fresh;
+    spoil(bad);
+    return serialize_disc(4, bad);
+  };
   const std::vector<std::vector<std::byte>> malformed{
+      // One frontier cell listed twice.
+      inconsistent([](DiscState& b) { b.frontier.push_back(b.frontier[0]); }),
+      // A rock count the cells do not hold.
+      inconsistent([](DiscState& b) { b.rock_remaining = 1000000; }),
+      // A frontier cell missing from the frontier.
+      inconsistent([](DiscState& b) { b.frontier.pop_back(); }),
       // side² overflows int64.
       patched(4 * sizeof(std::int64_t), std::int64_t{1} << 40),
       // side² cell indices no longer fit the int32 frontier entries.

@@ -42,10 +42,10 @@ where absolute numbers cannot:
 
     "ratios": {
       "counter 8t speedup": {
-        "numerator": "BM_ErosionStepCounter/1",  // the slow side
-        "denominator": "BM_ErosionStepCounter/8",
-        "min_ratio": 1.5,                        // gate: num/den >= this
-        "min_cpus": 8                            // optional hardware guard
+        "numerator": "BM_ErosionStepCounter/1/real_time",  // the slow side
+        "denominator": "BM_ErosionStepCounter/8/real_time",
+        "min_ratio": 1.5,                  // gate: num/den >= this
+        "min_cpus": 8                      // optional hardware guard
       }
     }
 
