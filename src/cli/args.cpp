@@ -20,8 +20,7 @@ bool strip_dashes(const std::string& token, std::string* name) {
 
 }  // namespace
 
-FlagMap::FlagMap(const std::vector<std::string>& args,
-                 const std::set<std::string>& switches) {
+FlagMap::FlagMap(const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     std::string name;
     ULBA_REQUIRE(strip_dashes(args[i], &name),
@@ -35,11 +34,9 @@ FlagMap::FlagMap(const std::vector<std::string>& args,
       values_[name] = value;
       continue;
     }
-    if (switches.count(name) != 0) {
-      values_[name] = "";
-      continue;
-    }
-    ULBA_REQUIRE(i + 1 < args.size(),
+    // A following flag is not a value: `--alpha --P 8` leaves --alpha
+    // valueless. Negative numbers ("-0.5") still pass.
+    ULBA_REQUIRE(i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0,
                  "flag --" + name + " expects a value");
     values_[name] = args[++i];
   }

@@ -1,12 +1,12 @@
 // Flag parsing for the unified `ulba_cli` scenario driver.
 //
 // The grammar is deliberately small:  `ulba_cli <subcommand> [--flag value |
-// --flag=value | --switch]…`.  Every subcommand declares the flags it
-// accepts; anything else is rejected via ULBA_REQUIRE (std::invalid_argument)
-// so misuse is reportable and testable.  The ModelParams flags (--P, --N,
-// --gamma, …) are shared by all analytic-model scenarios so that future
-// scenarios plug into one parameter vocabulary instead of growing ad-hoc
-// argv conventions per `examples/` main.
+// --flag=value]…`, and every flag takes a value.  Every subcommand declares
+// the flags it accepts; anything else is rejected via ULBA_REQUIRE
+// (std::invalid_argument) so misuse is reportable and testable.  The
+// ModelParams flags (--P, --N, --gamma, …) are shared by all analytic-model
+// scenarios so that future scenarios plug into one parameter vocabulary
+// instead of growing ad-hoc argv conventions per `examples/` main.
 #pragma once
 
 #include <cstdint>
@@ -19,16 +19,14 @@
 
 namespace ulba::cli {
 
-/// Parsed `--flag value` / `--flag=value` pairs.  Bare switches (e.g.
-/// `--help`, `--mt`) are stored with an empty value.
+/// Parsed `--flag value` / `--flag=value` pairs.
 class FlagMap {
  public:
-  /// Parse everything after the subcommand.  `switches` lists the flags that
-  /// take no value; all other `--flags` consume the following token (or the
-  /// text after `=`).  Throws std::invalid_argument on a positional token or
-  /// a valueless non-switch flag.
-  FlagMap(const std::vector<std::string>& args,
-          const std::set<std::string>& switches);
+  /// Parse everything after the subcommand.  Every `--flag` consumes the
+  /// following token (or the text after `=`).  Throws std::invalid_argument
+  /// on a positional token or a valueless flag — one at the end of `args` or
+  /// one followed by another `--flag`.
+  explicit FlagMap(const std::vector<std::string>& args);
 
   [[nodiscard]] bool has(const std::string& name) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <set>
 #include <sstream>
 
 #include "cli/args.hpp"
@@ -16,8 +15,6 @@ namespace {
 struct Subcommand {
   const char* name;
   const char* summary;
-  /// Switch flags (no value) the subcommand accepts, besides --help.
-  std::set<std::string> switches;
   std::function<int(const FlagMap&, std::ostream&)> scenario;
   std::function<std::string()> help_body;
 };
@@ -44,14 +41,7 @@ std::string erosion_help() {
          "by\n(disc, iteration, cell): one trajectory per seed for every "
          "--threads x\n--ranks combination.\n\n"
          "options:\n"
-         "  --mt                   measure real wall clock next to the "
-         "virtual-time\n"
-         "                         BSP model (requires --ranks): per-rank CPU "
-         "burn +\n"
-         "                         steady_clock iteration/LB/migration "
-         "times, dynamics\n"
-         "                         bit-identical to the model-time run\n"
-         "  --pes <int>            processing elements   [32; 8 with --mt]\n"
+         "  --pes <int>            processing elements     [32]\n"
          "  --strong <int>         strongly erodible rocks [1]\n"
          "  --seed <int>           placement seed          [11]\n"
          "  --iterations <int>     iterations              [180]\n"
@@ -68,11 +58,7 @@ std::string erosion_help() {
          "                         passing runtime: per-rank column stripes, "
          "real halo/\n"
          "                         migration messages, bit-identical to the "
-         "serial run  [1]\n"
-         "  --ns-scale <r>         burn steps per unit workload (--mt)   "
-         "[4.0]\n"
-         "  --migration-scale <r>  burn factor per migrated byte (--mt)  "
-         "[8.0]\n";
+         "serial run  [1]\n";
 }
 
 std::string intervals_help() {
@@ -173,48 +159,29 @@ const std::vector<Subcommand>& registry() {
   static const std::vector<Subcommand> kSubcommands{
       {"quickstart",
        "analytic model in a nutshell: tau vs. [sigma-, sigma+] and the gain",
-       {},
-       run_quickstart,
-       quickstart_help},
-      {"erosion",
-       "the erosion application, standard vs. ULBA (--ranks R --mt: "
-       "measured)",
-       {"mt"},
-       run_erosion,
+       run_quickstart, quickstart_help},
+      {"erosion", "the erosion application, standard vs. ULBA", run_erosion,
        erosion_help},
       {"intervals",
        "alpha sweep of sigma-/sigma+/schedules with the DP optimum",
-       {},
-       run_intervals,
-       intervals_help},
-      {"alpha-tuning",
-       "fine alpha sweep: best alpha and the gain landscape",
-       {},
-       run_alpha_tuning,
-       alpha_tuning_help},
+       run_intervals, intervals_help},
+      {"alpha-tuning", "fine alpha sweep: best alpha and the gain landscape",
+       run_alpha_tuning, alpha_tuning_help},
       {"gossip",
        "WIR-gossip ablation: latency, fanout impact vs. the oracle, "
        "smoothing",
-       {},
-       run_gossip,
-       gossip_help},
+       run_gossip, gossip_help},
       {"instances",
        "Table-II instance families: ULBA win/loss/gain vs. the standard "
        "method",
-       {},
-       run_instances,
-       instances_help},
+       run_instances, instances_help},
       {"interval-quality",
        "Figure 2: sigma+ intervals vs. the heuristic search, DP-bounded",
-       {},
-       run_interval_quality,
-       interval_quality_help},
+       run_interval_quality, interval_quality_help},
       {"serve",
        "the schedule service under multi-client traffic: hit rate, "
        "throughput, verdicts",
-       {},
-       run_serve,
-       serve_help},
+       run_serve, serve_help},
   };
   return kSubcommands;
 }
@@ -275,7 +242,7 @@ int run(const std::vector<std::string>& args, std::ostream& out) {
       return 0;
     }
   }
-  const FlagMap flags(rest, sub.switches);
+  const FlagMap flags(rest);
   return sub.scenario(flags, out);
 }
 

@@ -1,7 +1,6 @@
 #include "cli/scenarios.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <set>
 #include <string>
@@ -142,34 +141,21 @@ int run_quickstart(const FlagMap& flags, std::ostream& out) {
 }
 
 int run_erosion(const FlagMap& flags, std::ostream& out) {
-  flags.require_known({"mt", "pes", "strong", "seed", "iterations", "alpha",
+  flags.require_known({"pes", "strong", "seed", "iterations", "alpha",
                        "columns-per-pe", "rows", "rock-radius", "threads",
-                       "ranks", "ns-scale", "migration-scale"});
-  const bool mt = flags.has("mt");
-  const std::int64_t pe_count = flags.get_int("pes", mt ? 8 : 32);
+                       "ranks"});
+  const std::int64_t pe_count = flags.get_int("pes", 32);
   const std::int64_t strong = flags.get_int("strong", 1);
   const std::uint64_t seed = flags.get_seed("seed", 11);
   const double alpha = flags.get_double("alpha", 0.4);
   const std::int64_t threads = flags.get_int("threads", 1);
   const std::int64_t ranks = flags.get_int("ranks", 1);
-  const double ns_scale = flags.get_double("ns-scale", 4.0);
-  const double migration_scale = flags.get_double("migration-scale", 8.0);
   ULBA_REQUIRE(pe_count >= 2, "--pes must be at least 2");
   ULBA_REQUIRE(strong >= 1 && strong <= pe_count,
                "--strong must be in [1, pes]");
   ULBA_REQUIRE(alpha > 0.0 && alpha <= 1.0, "--alpha must be in (0, 1]");
   ULBA_REQUIRE(threads >= 1 && threads <= 256, "--threads must be in [1, 256]");
   ULBA_REQUIRE(ranks >= 1 && ranks <= 64, "--ranks must be in [1, 64]");
-  ULBA_REQUIRE(ns_scale > 0.0 && migration_scale >= 0.0,
-               "--ns-scale must be positive, --migration-scale nonnegative");
-  // Real wall clock comes from the measured-time DISTRIBUTED mode, which
-  // keeps the full virtual-time knob set (per-rank pools).
-  ULBA_REQUIRE(!mt || ranks > 1,
-               "--mt measures wall clock on the SPMD runtime; pass "
-               "--ranks R --mt (R >= 2)");
-  ULBA_REQUIRE(mt || (!flags.has("ns-scale") && !flags.has("migration-scale")),
-               "--ns-scale/--migration-scale calibrate measured-time runs; "
-               "pass --mt");
 
   erosion::AppConfig cfg;
   cfg.pe_count = pe_count;
@@ -185,9 +171,6 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   cfg.comm.bandwidth_Bps = 2e9;
   cfg.threads = threads;
   cfg.ranks = ranks;
-  cfg.measure_time = mt;
-  cfg.ns_scale = ns_scale;
-  cfg.migration_scale = migration_scale;
   cfg.validate();
 
   out << "Erosion demo: " << cfg.pe_count << " PEs, "
@@ -202,11 +185,6 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
         << cfg.exchange
         << " step exchange, real halo/migration messages; trajectory "
            "bit-identical to the serial run)\n";
-  }
-  if (cfg.measure_time) {
-    out << "(measured time: each rank burns real CPU, ns_scale "
-        << cfg.ns_scale << ", migration_scale " << cfg.migration_scale
-        << "; the LB schedule still comes from the virtual-time trigger)\n";
   }
   out << "\n";
 
@@ -243,53 +221,6 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
         << std_run.rank_step_bytes / 1e6 << " MB\n"
         << "  ULBA     : " << ulba_run.rank_step_messages << " messages, "
         << ulba_run.rank_step_bytes / 1e6 << " MB\n\n";
-  }
-
-  if (cfg.measure_time) {
-    const auto mean_of = [](const std::vector<double>& v) {
-      return v.empty() ? 0.0 : support::mean(v);
-    };
-    const auto mreport = [&out, &mean_of](const char* name,
-                                          const erosion::RunResult& r) {
-      out << name << "\n"
-          << "  wall clock       : " << r.measured.wall_seconds
-          << " s measured (compute " << r.measured.compute_seconds
-          << " + LB " << r.measured.lb_seconds << ")\n"
-          << "  LB steps         : " << r.measured.lb_step_seconds.size()
-          << " measured, mean cost " << mean_of(r.measured.lb_step_seconds)
-          << " s (migration " << r.measured.migration_seconds << " s)\n"
-          << "  mean utilization : " << r.measured.utilization * 100.0
-          << " %\n"
-          << "  iteration times  : "
-          << support::sparkline(r.measured.iteration_seconds) << "\n\n";
-    };
-    out << "measured wall clock (steady_clock on the SPMD ranks):\n\n";
-    mreport("standard:", std_run);
-    mreport("ULBA:", ulba_run);
-
-    // A run can finish with zero (or non-finite) model seconds in a bucket
-    // — e.g. no LB step ever fired. Report 0 instead of inf/NaN.
-    const auto ratio = [](double measured, double model) {
-      const double r = model > 0.0 ? measured / model : 0.0;
-      return std::isfinite(r) ? r : 0.0;
-    };
-    out << "measured vs model (same runs — the virtual-time numbers above "
-           "are their model track):\n"
-        << "  compute seconds, measured/model : standard "
-        << ratio(std_run.measured.compute_seconds, std_run.compute_seconds)
-        << ", ULBA "
-        << ratio(ulba_run.measured.compute_seconds, ulba_run.compute_seconds)
-        << "\n"
-        << "  LB seconds, measured/model      : standard "
-        << ratio(std_run.measured.lb_seconds, std_run.lb_seconds)
-        << ", ULBA "
-        << ratio(ulba_run.measured.lb_seconds, ulba_run.lb_seconds) << "\n"
-        << "  (a constant compute ratio means the alpha-beta model prices "
-           "iterations faithfully;\n   the LB ratio folds in what the model "
-           "cannot see — packing, queueing, host noise)\n"
-        << "  dynamics: eroded cells and the LB schedule are bit-identical "
-           "to the model-time run\n   (the trigger consumes virtual times "
-           "only; measurements ride alongside)\n\n";
   }
 
   out << "==> ULBA gain: "

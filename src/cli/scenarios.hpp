@@ -25,8 +25,8 @@ namespace ulba::cli {
 int run_quickstart(const FlagMap& flags, std::ostream& out);
 
 /// `erosion` — the §IV-B erosion application under the standard method and
-/// under ULBA; `--ranks R --mt` adds measured wall-clock times from the
-/// SPMD runtime to the virtual-time BSP simulation.
+/// under ULBA, in virtual time; `--threads` and `--ranks` choose how the
+/// dynamics are stepped, never what they compute.
 int run_erosion(const FlagMap& flags, std::ostream& out);
 
 /// `intervals` — α sweep of σ⁻/σ⁺/schedule/total time with the exact DP

@@ -1,7 +1,6 @@
 #include "erosion/app.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -14,7 +13,6 @@
 #include "lb/driver.hpp"
 #include "lb/stripe_partitioner.hpp"
 #include "runtime/spmd.hpp"
-#include "support/burn.hpp"
 #include "support/require.hpp"
 
 namespace ulba::erosion {
@@ -214,20 +212,10 @@ class LbController {
 /// stripe of the DistributedDomain; the main rank additionally executes the
 /// LbController against weights reassembled through real messages, so the
 /// RunResult is bit-identical to the in-process run — plus the distributed
-/// migration accounting.
-///
-/// With AppConfig::measure_time, every rank also burns real CPU ∝ its
-/// stripe's workload per iteration (and ∝ its migration payload per LB
-/// step), and a steady_clock track — iteration maxima, measured
-/// degradation, per-LB-step cost — is recorded into RunResult::measured.
-/// The LB verdicts always come from the virtual-time controller, so the
-/// trajectory is bit-identical to the model-time run: the measurements ride
-/// alongside the model, they never steer it.
+/// migration accounting. Every LB verdict comes from the virtual-time
+/// controller; no rank reads a wall clock.
 RunResult run_distributed(const AppConfig& config,
                           const DomainConfig& domain_config) {
-  using Clock = std::chrono::steady_clock;
-  using support::seconds_since;
-  const auto max_op = [](double a, double b) { return std::max(a, b); };
   RunResult result;
   const int R = static_cast<int>(config.ranks);
   runtime::spmd_run(
@@ -248,44 +236,12 @@ RunResult run_distributed(const AppConfig& config,
         if (main) ctl.emplace(config, partitioner, domain.columns());
         const double byte_scale =
             config.bytes_per_cell / config.flop_per_cell;
-        const bool mt = config.measure_time;
-        MeasuredTimes measured;
-        // Main rank: Algorithm 1's degradation accounting on the real clock
-        // (report-only — it never decides an LB step).
-        core::AdaptiveTrigger measured_trigger;
-        double measured_util_sum = 0.0;
-        std::int64_t measured_util_iters = 0;
-        const auto run0 = Clock::now();
 
         for (std::int64_t iter = 0; iter < config.iterations; ++iter) {
           // Monitoring gather (collective): the main rank reassembles the
           // full pre-step weights and runs superstep/WIR/gossip on them.
           const std::vector<double> weights = domain.gather_column_weights(0);
           if (main) ctl->observe(iter, weights);
-
-          // Measured mode: compute my stripe for real (burn ∝ owned
-          // workload) and agree on the iteration time — the max over ranks,
-          // exactly what a barriered superstep would observe.
-          if (mt) {
-            double owned = 0.0;
-            for (const double w : domain.local_column_weights()) owned += w;
-            const auto it0 = Clock::now();
-            support::burn(owned, config.ns_scale);
-            const double my_seconds = seconds_since(it0);
-            const double step_max = comm.allreduce(my_seconds, max_op);
-            const double step_sum = comm.allreduce(my_seconds);
-            if (main) {
-              measured.iteration_seconds.push_back(step_max);
-              measured.compute_seconds += step_max;
-              if (step_max > 0.0) {
-                measured_util_sum +=
-                    step_sum / (static_cast<double>(R) * step_max);
-                ++measured_util_iters;
-              }
-              measured_trigger.record_iteration(step_max);
-              measured.degradation.push_back(measured_trigger.degradation());
-            }
-          }
 
           // Application dynamics (collective; independent of LB decisions).
           (void)domain.step_counter(dynamics_seed, iter,
@@ -300,7 +256,6 @@ RunResult run_distributed(const AppConfig& config,
                 ctl->should_balance(iter, domain.total_workload()) ? 1 : 0;
           comm.broadcast(balance_now, 0);
           if (balance_now != 0) {
-            const auto lb0 = Clock::now();
             // One reassembly serves both the centralized LB step (main
             // rank) and the stripe recut (every rank).
             const std::vector<double> post =
@@ -313,23 +268,7 @@ RunResult run_distributed(const AppConfig& config,
             }
             // Recut the rank stripes against the freshly balanced weights —
             // column weights and disc ownership move as real messages.
-            const auto mig0 = Clock::now();
             const DistributedReshardResult reshard = domain.rebalance(post);
-            if (mt) {
-              // Pack/unpack cost ∝ the payload THIS rank really moved.
-              support::burn(reshard.my_payload_bytes,
-                            config.ns_scale * config.migration_scale);
-              const double mig_max =
-                  comm.allreduce(seconds_since(mig0), max_op);
-              const double lb_max =
-                  comm.allreduce(seconds_since(lb0), max_op);
-              if (main) {
-                measured.migration_seconds += mig_max;
-                measured.lb_step_seconds.push_back(lb_max);
-                measured.lb_seconds += lb_max;
-                measured_trigger.reset();
-              }
-            }
             if (main) {
               ctl->result().rank_discs_moved += reshard.discs_moved;
               ctl->result().rank_migration_bytes +=
@@ -355,18 +294,6 @@ RunResult run_distributed(const AppConfig& config,
           result.rank_step_messages = step_messages;
           result.rank_step_bytes = step_bytes;
           result.rank_fractional_imbalance = fractional;
-          if (mt) {
-            measured.wall_seconds = seconds_since(run0);
-            // Average over the iterations that actually contributed a
-            // ratio — iterations whose max burn rounded to zero carry no
-            // utilization information and must not dilute the mean.
-            measured.utilization =
-                measured_util_iters > 0
-                    ? measured_util_sum /
-                          static_cast<double>(measured_util_iters)
-                    : 0.0;
-            result.measured = std::move(measured);
-          }
         }
       });
   return result;
@@ -399,10 +326,6 @@ void AppConfig::validate() const {
   ULBA_REQUIRE(threads >= 1, "need at least one stepping thread");
   ULBA_REQUIRE(ranks >= 1 && ranks <= pe_count,
                "rank count must lie in [1, pe_count]");
-  ULBA_REQUIRE(!measure_time || ranks > 1,
-               "measured-time mode runs on the SPMD runtime (ranks > 1)");
-  ULBA_REQUIRE(ns_scale > 0.0 && migration_scale >= 0.0,
-               "ns_scale must be positive and migration_scale nonnegative");
   (void)lb::make_partitioner(partitioner);  // throws on unknown names
   (void)exchange_mode_from_name(exchange);  // throws on unknown names
   comm.validate();

@@ -15,7 +15,8 @@
 //
 // Both methods see bit-identical erosion dynamics for a given seed (the
 // dynamics stream is independent of LB decisions), so time differences are
-// attributable to load balancing alone.
+// attributable to load balancing alone. Every time in a RunResult is virtual
+// BSP-machine time: the erosion layer reads no wall clock.
 #pragma once
 
 #include <cstdint>
@@ -102,20 +103,6 @@ struct AppConfig {
   /// either way; only the message count differs.
   std::string exchange = "neighbor";
 
-  /// Measured-time distributed mode (requires ranks > 1): every rank
-  /// additionally burns real CPU proportional to its stripe's workload each
-  /// iteration (support::burn at `ns_scale`) and to its migration payload
-  /// at each LB step (× `migration_scale`), and the run reports
-  /// steady_clock measurements in RunResult::measured — report-only: the LB
-  /// verdicts keep coming from the virtual-time controller, so the dynamics
-  /// (eroded cells, LB schedule, the whole virtual RunResult) stay
-  /// bit-identical to the model-time run of the same seed.
-  bool measure_time = false;
-  /// Busy-loop multiply-adds per unit of cell workload (measured mode).
-  double ns_scale = 4.0;
-  /// Real CPU cost factor per migrated payload byte (measured mode).
-  double migration_scale = 8.0;
-
   void validate() const;
 
   /// Derived: domain width = pe_count · columns_per_pe.
@@ -135,26 +122,6 @@ struct IterationRecord {
   /// `anticipate_overhead_in_trigger` — the Eq. (11) overhead at
   /// AppConfig::alpha for the overloading PEs the main PE's database shows.
   double threshold = 0.0;
-};
-
-/// Wall-clock measurements of the measured-time distributed mode
-/// (AppConfig::measure_time): everything here comes from steady_clock on
-/// the SPMD runtime — iteration maxima, the measured degradation Algorithm 1
-/// would see on the real clock, and the cost of each real LB step (gather +
-/// Algorithm-2 + column/disc migration messages + migration burn). All-zero
-/// when measured mode is off. The virtual-time fields of the enclosing
-/// RunResult are bit-identical with and without measured mode.
-struct MeasuredTimes {
-  double wall_seconds = 0.0;       ///< main rank, whole-run steady_clock
-  double compute_seconds = 0.0;    ///< Σ iteration_seconds
-  double lb_seconds = 0.0;         ///< Σ lb_step_seconds
-  double migration_seconds = 0.0;  ///< Σ allreduced-max migration portions
-  /// Mean over CONTRIBUTING iterations of Σ/(R·max) — iterations whose max
-  /// burn rounded to zero are excluded from numerator AND denominator.
-  double utilization = 0.0;
-  std::vector<double> iteration_seconds;  ///< allreduced max, per iteration
-  std::vector<double> degradation;  ///< measured degradation, per iteration
-  std::vector<double> lb_step_seconds;  ///< parallel to lb_iterations
 };
 
 struct RunResult {
@@ -184,8 +151,6 @@ struct RunResult {
   /// imbalance (max rank load − avg)/avg of the FINAL rank stripes, over
   /// per-rank sums of the local stripe weights. 0 when perfectly balanced.
   double rank_fractional_imbalance = 0.0;
-  /// Measured-time distributed mode only (AppConfig::measure_time).
-  MeasuredTimes measured;
 };
 
 class ErosionApp {

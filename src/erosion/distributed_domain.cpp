@@ -498,8 +498,7 @@ DistributedReshardResult DistributedDomain::rebalance(
   result.predicted = lb::migration_volume(before, after, bytes);
   result.observed_per_rank_bytes = comm_->allgather(sent_model + recv_model);
   result.observed_column_bytes = comm_->allreduce(sent_model);
-  result.my_payload_bytes = sent_payload + recv_payload;
-  result.observed_payload_bytes = comm_->allreduce(result.my_payload_bytes);
+  result.observed_payload_bytes = comm_->allreduce(sent_payload + recv_payload);
   return result;
 }
 

@@ -87,9 +87,6 @@ struct DistributedReshardResult {
   /// Real payload bytes this rank put on / took off the wire during the
   /// rebalance (column weights + serialized discs), summed over all ranks.
   double observed_payload_bytes = 0.0;
-  /// This rank's own share of that payload (sent + received, NOT reduced) —
-  /// what a measured-time driver charges its local migration burn against.
-  double my_payload_bytes = 0.0;
 };
 
 /// The rank-local final report every rank replicates (bit-identical to the
@@ -177,17 +174,14 @@ class DistributedDomain {
   /// The rank owning column `x`.
   [[nodiscard]] int owner_of_column(std::int64_t x) const;
 
-  /// This rank's column weights, spanning [first_column, first_column + n).
-  [[nodiscard]] std::span<const double> local_column_weights() const noexcept {
-    return weights_;
-  }
+  /// The first column of this rank's stripe.
   [[nodiscard]] std::int64_t first_column() const noexcept {
     return my_col0_;
   }
 
   /// Collective: the HemoCell-style fractional load imbalance of the
   /// current decomposition, (max rank load − avg)/avg over the per-rank
-  /// sums of local_column_weights(). Identical on every rank; 0 when
+  /// sums of the local column weights. Identical on every rank; 0 when
   /// perfectly balanced.
   [[nodiscard]] double fractional_load_imbalance() const;
 

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "cli/args.hpp"
 
@@ -16,19 +17,13 @@ namespace {
 // FlagMap grammar
 // ---------------------------------------------------------------------------
 TEST(FlagMap, ParsesSpaceAndEqualsForms) {
-  const FlagMap flags({"--P", "64", "--alpha=0.25"}, {});
+  const FlagMap flags({"--P", "64", "--alpha=0.25"});
   EXPECT_EQ(flags.get_int("P", 0), 64);
   EXPECT_DOUBLE_EQ(flags.get_double("alpha", 0.0), 0.25);
 }
 
-TEST(FlagMap, SwitchesTakeNoValue) {
-  const FlagMap flags({"--mt", "--pes", "4"}, {"mt"});
-  EXPECT_TRUE(flags.has("mt"));
-  EXPECT_EQ(flags.get_int("pes", 0), 4);
-}
-
 TEST(FlagMap, FallbacksApplyWhenAbsent) {
-  const FlagMap flags({}, {});
+  const FlagMap flags({});
   EXPECT_EQ(flags.get_int("P", 7), 7);
   EXPECT_DOUBLE_EQ(flags.get_double("alpha", 0.5), 0.5);
   EXPECT_EQ(flags.get_string("mode", "dp"), "dp");
@@ -36,20 +31,41 @@ TEST(FlagMap, FallbacksApplyWhenAbsent) {
 }
 
 TEST(FlagMap, RejectsPositionalArguments) {
-  EXPECT_THROW(FlagMap({"512"}, {}), std::invalid_argument);
+  EXPECT_THROW(FlagMap({"512"}), std::invalid_argument);
 }
 
 TEST(FlagMap, RejectsTrailingValuelessFlag) {
-  EXPECT_THROW(FlagMap({"--P"}, {}), std::invalid_argument);
+  EXPECT_THROW(FlagMap({"--P"}), std::invalid_argument);
+}
+
+TEST(FlagMap, RejectsAFlagAsAValue) {
+  // A token that starts with "--" is the next flag, never a value, so the
+  // flag before it is valueless — however the next flag is spelled.
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{{"--alpha", "--P", "8"},
+                                             {"--alpha", "--P=8"},
+                                             {"--alpha", "--P"}}) {
+    try {
+      const FlagMap flags(args);
+      ADD_FAILURE() << args[1] << " must not parse as the value of --alpha";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("flag --alpha expects a value"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // A single dash is not a flag: negative numbers stay values.
+  const FlagMap negative({"--alpha", "-0.5"});
+  EXPECT_DOUBLE_EQ(negative.get_double("alpha", 0.0), -0.5);
 }
 
 TEST(FlagMap, RejectsMalformedNumbers) {
-  const FlagMap flags({"--P", "12abc", "--alpha", "zero"}, {});
+  const FlagMap flags({"--P", "12abc", "--alpha", "zero"});
   EXPECT_THROW((void)flags.get_int("P", 0), std::invalid_argument);
   EXPECT_THROW((void)flags.get_double("alpha", 0.0), std::invalid_argument);
   // strtod parses these, but no numeric knob takes a non-finite value.
   for (const std::string value : {"inf", "-inf", "nan"}) {
-    const FlagMap non_finite({"--lb-cost", value}, {});
+    const FlagMap non_finite({"--lb-cost", value});
     try {
       (void)non_finite.get_double("lb-cost", 1.0);
       ADD_FAILURE() << value << " must be rejected";
@@ -62,13 +78,13 @@ TEST(FlagMap, RejectsMalformedNumbers) {
 }
 
 TEST(FlagMap, RejectsNegativeSeedAndOverflow) {
-  const FlagMap flags({"--seed", "-1", "--P", "99999999999999999999"}, {});
+  const FlagMap flags({"--seed", "-1", "--P", "99999999999999999999"});
   EXPECT_THROW((void)flags.get_seed("seed", 0u), std::invalid_argument);
   EXPECT_THROW((void)flags.get_int("P", 0), std::invalid_argument);
 }
 
 TEST(FlagMap, RequireKnownRejectsStrangers) {
-  const FlagMap flags({"--P", "8", "--typo", "1"}, {});
+  const FlagMap flags({"--P", "8", "--typo", "1"});
   EXPECT_THROW(flags.require_known({"P"}), std::invalid_argument);
   EXPECT_NO_THROW(flags.require_known({"P", "typo"}));
 }
@@ -86,7 +102,7 @@ TEST(ModelParamFlags, OverlayOntoDefaults) {
   defaults.m = 2.0;
   defaults.alpha = 0.5;
   defaults.lb_cost = 1.0;
-  const FlagMap flags({"--P", "128", "--lb-cost", "2.5"}, {});
+  const FlagMap flags({"--P", "128", "--lb-cost", "2.5"});
   const core::ModelParams p = parse_model_params(flags, defaults);
   EXPECT_EQ(p.P, 128);
   EXPECT_DOUBLE_EQ(p.lb_cost, 2.5);
@@ -103,7 +119,7 @@ TEST(ModelParamFlags, ValidationRejectsBadCombinations) {
   defaults.alpha = 0.5;
   defaults.lb_cost = 1.0;
   // N ≥ P is out of domain — ModelParams::validate() must throw.
-  const FlagMap flags({"--N", "16"}, {});
+  const FlagMap flags({"--N", "16"});
   EXPECT_THROW((void)parse_model_params(flags, defaults),
                std::invalid_argument);
 }

@@ -3,8 +3,8 @@
 // Every scenario is driven through cli::run with a pinned seed and a small,
 // fast configuration; the full report text is compared byte-for-byte against
 // tests/golden/<name>.txt. The virtual-time machine makes every subcommand
-// deterministic (only `erosion --ranks R --mt` measures wall clock, and is
-// therefore exercised structurally, not golden-matched).
+// deterministic except `serve`, whose wall-clock metrics are real, so it is
+// exercised structurally, not golden-matched.
 //
 // Regenerate the golden files after an intentional output change with
 //   ULBA_UPDATE_GOLDEN=1 ctest -R test_cli_scenarios
@@ -220,13 +220,6 @@ TEST(CliScenarios, RanksFlagIsValidated) {
   // AppConfig::validate: ranks must not exceed the PE count.
   EXPECT_THROW(run({"erosion", "--pes", "8", "--ranks", "16"}, out),
                std::invalid_argument);
-  // The measured-time knobs require --mt.
-  EXPECT_THROW(run({"erosion", "--ns-scale", "2"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"erosion", "--migration-scale", "2"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"erosion", "--mt", "--ns-scale", "0"}, out),
-               std::invalid_argument);
   EXPECT_THROW(run({"quickstart", "--ranks", "-1"}, out),
                std::invalid_argument);
 }
@@ -254,11 +247,11 @@ TEST(CliScenarios, RetiredFlagsAndBareMtAreRejected) {
     EXPECT_THROW(run(argv, out), std::invalid_argument) << args[0];
   }
   // One LB verdict: the measured trigger source and its knobs are not flags
-  // any more, each rejected by name — also on an otherwise valid measured run.
-  const std::vector<std::string> measured_run{
-      "erosion", "--mt", "--ranks", "2", "--pes", "8", "--iterations", "4",
+  // any more, each rejected by name — also on an otherwise valid run.
+  const std::vector<std::string> ranks_run{
+      "erosion", "--ranks", "2", "--pes", "8", "--iterations", "4",
       "--columns-per-pe", "24", "--rows", "32", "--rock-radius", "8"};
-  std::vector<std::string> full_knob_set = measured_run;
+  std::vector<std::string> full_knob_set = ranks_run;
   full_knob_set.insert(full_knob_set.end(),
                        {"--trigger-source", "measured", "--trigger-criterion",
                         "fli", "--fli-threshold", "0.3", "--noise", "0.2"});
@@ -269,7 +262,7 @@ TEST(CliScenarios, RetiredFlagsAndBareMtAreRejected) {
            {"trigger-criterion", "fli"},
            {"fli-threshold", "0.3"},
            {"noise", "0.2"}}) {
-    std::vector<std::string> argv = measured_run;
+    std::vector<std::string> argv = ranks_run;
     argv.insert(argv.end(), {"--" + flag, value});
     try {
       (void)run(argv, out);
@@ -322,19 +315,37 @@ TEST(CliScenarios, RetiredFlagsAndBareMtAreRejected) {
           << e.what();
     }
   }
-  // Wall clock comes from the SPMD runtime only: --mt needs --ranks, and
-  // the rejection names the replacement.
-  EXPECT_THROW(run({"erosion", "--mt", "--pes", "8"}, out),
-               std::invalid_argument);
-  try {
-    (void)run({"erosion", "--mt"}, out);
-    ADD_FAILURE() << "a bare --mt must be rejected";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("--ranks R --mt"), std::string::npos)
-        << e.what();
+  // One clock: the measured-time track is gone. --mt is no switch any more,
+  // so it is a valueless flag wherever it stands ...
+  for (const std::vector<std::string>& argv :
+       std::vector<std::vector<std::string>>{
+           {"erosion", "--mt"},
+           {"erosion", "--mt", "--ranks", "2"},
+           {"erosion", "--ranks", "2", "--mt"}}) {
+    try {
+      (void)run(argv, out);
+      ADD_FAILURE() << "--mt must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("flag --mt expects a value"),
+                std::string::npos)
+          << e.what();
+    }
   }
-  // The measured-time distributed mode runs end to end.
-  EXPECT_EQ(run(measured_run, out), 0);
+  // ... and its burn calibration knobs are unknown flags.
+  for (const std::string flag : {"ns-scale", "migration-scale"}) {
+    std::vector<std::string> argv = ranks_run;
+    argv.insert(argv.end(), {"--" + flag, "2"});
+    try {
+      (void)run(argv, out);
+      ADD_FAILURE() << "--" << flag << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown flag --" + flag),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The plain distributed run those probes extend runs end to end.
+  EXPECT_EQ(run(ranks_run, out), 0);
 }
 
 TEST(CliScenarios, IntervalQualityRejectsBadFlags) {

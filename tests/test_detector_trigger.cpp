@@ -180,8 +180,12 @@ TEST_P(DetectorSweep, HotPeDetection) {
   std::vector<double> wirs(static_cast<std::size_t>(pe_count), 1.0);
   wirs[0] = factor;
   const OverloadDetector det(3.0);
-  // For one outlier among n uniform values, z ≈ √(n−1) · (1 − 1/n)… ⇒
-  // detection requires n ≥ ~11; the sweep only uses larger populations.
+  // One outlier among n equal values has z = √(n−1) exactly under the
+  // population stddev, whatever its factor. So z > 3 needs n ≥ 11: at n = 10
+  // z is 3 only up to rounding, and the strict `>` flags the inputs that
+  // round above (a factor of 1.01 gives 3.000000000000037) but not those
+  // that round below (factor 5 gives 2.9999999999999996). The sweep only
+  // uses populations of 16 and up.
   EXPECT_TRUE(det.is_overloading(wirs[0], wirs))
       << "P = " << pe_count << ", factor = " << factor;
   EXPECT_EQ(det.count_overloading(wirs), 1);
@@ -190,6 +194,27 @@ TEST_P(DetectorSweep, HotPeDetection) {
 INSTANTIATE_TEST_SUITE_P(
     PopulationsAndFactors, DetectorSweep,
     ::testing::Combine(::testing::Values(16, 32, 64, 256, 2048),
+                       ::testing::Values(5.0, 20.0, 1000.0)));
+
+// The other side of that bound: with P ≤ 9 PEs the largest possible z-score
+// is √(P−1) ≤ 2.83, so no outlier is ever flagged, however hot. This is why
+// small erosion runs show no ULBA effect.
+class DetectorBlindSpot
+    : public ::testing::TestWithParam<std::tuple<int, double>> {};
+
+TEST_P(DetectorBlindSpot, HotPeNeverFlaggedAmongFewPes) {
+  const auto [pe_count, factor] = GetParam();
+  std::vector<double> wirs(static_cast<std::size_t>(pe_count), 1.0);
+  wirs[0] = factor;
+  const OverloadDetector det(3.0);
+  EXPECT_FALSE(det.is_overloading(wirs[0], wirs))
+      << "P = " << pe_count << ", factor = " << factor;
+  EXPECT_EQ(det.count_overloading(wirs), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SmallPopulations, DetectorBlindSpot,
+    ::testing::Combine(::testing::Values(2, 4, 8, 9),
                        ::testing::Values(5.0, 20.0, 1000.0)));
 
 // ---------------------------------------------------------------------------

@@ -28,6 +28,39 @@ AppConfig small_config(Method method, std::int64_t strong = 1,
   return c;
 }
 
+/// A shape where the detector fires at 16 PEs: at α = 0.4 the anticipation
+/// moves the recorded trigger thresholds.
+AppConfig probe_config(Method method, double alpha, std::int64_t ranks,
+                       std::int64_t pe_count = 16) {
+  AppConfig c;
+  c.pe_count = pe_count;
+  c.columns_per_pe = 48;
+  c.rows = 64;
+  c.rock_radius = 16;
+  c.iterations = 60;
+  c.seed = 3;
+  c.bytes_per_cell = 256.0;
+  c.comm.latency_s = 1e-4;
+  c.comm.bandwidth_Bps = 2e9;
+  c.method = method;
+  c.alpha = alpha;
+  c.ranks = ranks;
+  return c;
+}
+
+/// Asserts that `run` took the same LB decisions as `std_run`, bit for bit:
+/// the same virtual time, LB schedule and per-iteration trigger threshold.
+void expect_same_decisions(const RunResult& run, const RunResult& std_run,
+                           const std::string& what) {
+  EXPECT_EQ(run.total_seconds, std_run.total_seconds) << what;
+  EXPECT_EQ(run.lb_iterations, std_run.lb_iterations) << what;
+  EXPECT_EQ(run.fallback_count, std_run.fallback_count) << what;
+  ASSERT_EQ(run.iterations.size(), std_run.iterations.size()) << what;
+  for (std::size_t i = 0; i < run.iterations.size(); ++i)
+    EXPECT_EQ(run.iterations[i].threshold, std_run.iterations[i].threshold)
+        << what << " — iteration " << i;
+}
+
 TEST(AppConfig, ValidationCatchesBadSetups) {
   AppConfig c = small_config(Method::kStandard);
   c.pe_count = 1;
@@ -152,39 +185,18 @@ TEST(App, UlbaAtAlphaZeroIsTheStandardMethod) {
   // At α = 0 no overloading PE asks for underloading, Algorithm 2 returns
   // the even targets and Eq. (11) adds nothing to the trigger threshold, so
   // ULBA must BE the standard method, bit for bit, in process and over
-  // ranks. The shape is one where the detector fires: at α = 0.4 the
-  // anticipation moves the recorded thresholds.
-  const auto config = [](Method method, double alpha, std::int64_t ranks) {
-    AppConfig c;
-    c.pe_count = 16;
-    c.columns_per_pe = 48;
-    c.rows = 64;
-    c.rock_radius = 16;
-    c.iterations = 60;
-    c.seed = 3;
-    c.bytes_per_cell = 256.0;
-    c.comm.latency_s = 1e-4;
-    c.comm.bandwidth_Bps = 2e9;
-    c.method = method;
-    c.alpha = alpha;
-    c.ranks = ranks;
-    return c;
-  };
+  // ranks, on the probe shape where the detector fires.
   for (const std::int64_t ranks : {1, 4}) {
     const std::string what = "ranks " + std::to_string(ranks);
     const RunResult std_run =
-        ErosionApp(config(Method::kStandard, 0.4, ranks)).run();
-    const RunResult zero = ErosionApp(config(Method::kUlba, 0.0, ranks)).run();
+        ErosionApp(probe_config(Method::kStandard, 0.4, ranks)).run();
     ASSERT_GE(std_run.lb_count, 1) << what;
-    EXPECT_EQ(zero.total_seconds, std_run.total_seconds) << what;
-    EXPECT_EQ(zero.lb_iterations, std_run.lb_iterations) << what;
-    EXPECT_EQ(zero.fallback_count, std_run.fallback_count) << what;
-    ASSERT_EQ(zero.iterations.size(), std_run.iterations.size()) << what;
-    for (std::size_t i = 0; i < zero.iterations.size(); ++i)
-      EXPECT_EQ(zero.iterations[i].threshold, std_run.iterations[i].threshold)
-          << what << " — iteration " << i;
+    const RunResult zero =
+        ErosionApp(probe_config(Method::kUlba, 0.0, ranks)).run();
+    expect_same_decisions(zero, std_run, what);
 
-    const RunResult ulba = ErosionApp(config(Method::kUlba, 0.4, ranks)).run();
+    const RunResult ulba =
+        ErosionApp(probe_config(Method::kUlba, 0.4, ranks)).run();
     ASSERT_EQ(ulba.iterations.size(), std_run.iterations.size()) << what;
     bool threshold_moved = false;
     for (std::size_t i = 0; i < ulba.iterations.size(); ++i)
@@ -192,6 +204,22 @@ TEST(App, UlbaAtAlphaZeroIsTheStandardMethod) {
           ulba.iterations[i].threshold != std_run.iterations[i].threshold;
     EXPECT_TRUE(threshold_moved)
         << what << " — the detector never fired, so α = 0 proves nothing";
+  }
+}
+
+TEST(App, UlbaAtEightPesIsTheStandardMethod) {
+  // The z > 3 detector cannot flag one PE among P ≤ 9 (its z-score is at
+  // most √(P−1) ≈ 2.83 at P = 8), so ULBA never underloads anybody and
+  // Eq. (11) never adds to the threshold: on the probe shape cut to 8 PEs,
+  // ULBA at α = 0.4 takes the standard method's decisions, bit for bit.
+  for (const std::int64_t ranks : {1, 4}) {
+    const std::string what = "P = 8, ranks " + std::to_string(ranks);
+    const RunResult std_run =
+        ErosionApp(probe_config(Method::kStandard, 0.4, ranks, 8)).run();
+    ASSERT_GE(std_run.lb_count, 1) << what;
+    const RunResult ulba =
+        ErosionApp(probe_config(Method::kUlba, 0.4, ranks, 8)).run();
+    expect_same_decisions(ulba, std_run, what);
   }
 }
 

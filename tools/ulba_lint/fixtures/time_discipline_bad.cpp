@@ -1,6 +1,6 @@
 // Fixture: time-discipline must fire on wall-clock reads outside the
-// measured-time / serve-metrics modules. NOT part of the build — parsed by
-// ulba_lint only.
+// serve-metrics modules. NOT part of the build — parsed by ulba_lint
+// only.
 #include <chrono>
 
 namespace fixture {

@@ -145,6 +145,22 @@ class AllowedPaths(unittest.TestCase):
                     f"{rule}: allowlisted path {pattern!r} matches no file "
                     "under src/")
 
+    def test_virtual_time_layers_read_no_clock(self):
+        # The erosion app, the LB, the core model, the BSP machine and the
+        # SPMD runtime run in virtual time only: no file there, present or
+        # future, may be exempt from time-discipline.
+        for layer in ("erosion", "lb", "core", "bsp", "runtime"):
+            rel_dir = f"src/{layer}"
+            rel_paths = [f"{rel_dir}/any_new_file.cpp"]
+            for root, _, names in os.walk(os.path.join(REPO, rel_dir)):
+                for name in names:
+                    rel_paths.append(os.path.relpath(
+                        os.path.join(root, name), REPO).replace(os.sep, "/"))
+            for rel in rel_paths:
+                self.assertFalse(
+                    ulba_lint.path_allowed("time-discipline", rel),
+                    f"{rel} is exempt from time-discipline")
+
 
 class JsonReport(unittest.TestCase):
     def test_round_trip(self):

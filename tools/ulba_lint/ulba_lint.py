@@ -32,9 +32,9 @@ tooling (ASan/UBSan/TSan, clang-tidy) cannot express:
                        the tag is always the second argument of
                        send*/recv*/try_recv*.)
   time-discipline      steady_clock/system_clock reads are confined to the
-                       measured-time and serve-metrics modules.  A wall
-                       clock read anywhere else leaks real time into the
-                       virtual-time trajectory.
+                       serve-metrics modules.  A wall clock read anywhere
+                       else leaks real time into the virtual-time
+                       trajectory.
 
 Backends: when libclang's python bindings are importable AND the shared
 library loads, function extents come from a real AST traversal; otherwise
@@ -90,8 +90,8 @@ RULES = {
         "integer-literal message tag at a Comm/mailbox call site — use a "
         "named kTag* constant",
     "time-discipline":
-        "wall-clock read outside the measured-time / serve-metrics "
-        "modules — real time must not leak into virtual-time paths",
+        "wall-clock read outside the serve-metrics modules — real time "
+        "must not leak into virtual-time paths",
 }
 
 # Paths (repo-relative, forward slashes) where a rule does not apply.  These
@@ -101,8 +101,6 @@ RULE_ALLOWED_PATHS = {
         r"^src/support/",  # the RNG abstraction itself lives here
     ],
     "time-discipline": [
-        r"^src/support/burn\.",        # burns real CPU by definition
-        r"^src/erosion/app\.cpp$",     # measured-time track (RunResult::measured)
         r"^src/serve/",                # serve metrics (wall, throughput)
         r"^src/cli/serve_driver\.cpp$",  # serve-metrics harness (wall, rps)
     ],
@@ -696,9 +694,8 @@ def rule_time_discipline(sf):
         if _CLOCK_RE.search(line):
             findings.append(Finding(
                 "time-discipline", sf, idx,
-                "wall-clock read outside the measured-time / "
-                "serve-metrics modules — virtual-time paths must not "
-                "observe real time"))
+                "wall-clock read outside the serve-metrics modules — "
+                "virtual-time paths must not observe real time"))
     return findings
 
 
