@@ -1,7 +1,7 @@
 // Shared helpers for the experiment harness binaries.
 //
 // The sweep machinery itself (parallel_map, the scaled erosion config, the
-// gossip/Table-II scenario sweeps) lives in src/cli/sweep.hpp so the
+// Table-II and interval-quality sweeps) lives in src/cli/sweep.hpp so the
 // `ulba_cli` subcommands and these binaries drive one implementation; this
 // header only re-exports it under the historical ulba::bench names and adds
 // the printf-flavored header the binaries share.
@@ -16,8 +16,6 @@ namespace ulba::bench {
 
 using cli::distributed_erosion_scaling;
 using cli::DistributedScalingRow;
-using cli::erosion_median_over_seeds;
-using cli::gossip_latency_table;
 using cli::instance_family_stats;
 using cli::interval_quality_sweep;
 using cli::IntervalQualitySample;

@@ -80,20 +80,6 @@ std::string alpha_tuning_help() {
          model_param_help(quickstart_defaults());
 }
 
-std::string gossip_help() {
-  return "WIR-gossip ablation (Section III-C): dissemination latency per "
-         "fanout,\nend-to-end erosion degradation and detection lag vs. the "
-         "centralized\nzero-cost oracle, and the WIR-smoothing sweep.\n\n"
-         "options:\n"
-         "  --pes <int>         processing elements            [32]\n"
-         "  --strong <int>      strongly erodible rocks        [1]\n"
-         "  --seed <int>        base seed                      [11]\n"
-         "  --seeds <int>       seeds per configuration        [3]\n"
-         "  --iterations <int>  erosion iterations             [120]\n"
-         "  --alpha <0..1>      ULBA fraction                  [0.4]\n"
-         "  --trials <int>      latency-table trials           [10]\n";
-}
-
 std::string interval_quality_help() {
   return "Figure 2: quality of the sigma+ LB intervals vs. the heuristic "
          "search\n(simulated annealing) on random Table-II instances, with "
@@ -167,10 +153,6 @@ const std::vector<Subcommand>& registry() {
        run_intervals, intervals_help},
       {"alpha-tuning", "fine alpha sweep: best alpha and the gain landscape",
        run_alpha_tuning, alpha_tuning_help},
-      {"gossip",
-       "WIR-gossip ablation: latency, fanout impact vs. the oracle, "
-       "smoothing",
-       run_gossip, gossip_help},
       {"instances",
        "Table-II instance families: ULBA win/loss/gain vs. the standard "
        "method",

@@ -301,18 +301,26 @@ int run_alpha_tuning(const FlagMap& flags, std::ostream& out) {
   ULBA_REQUIRE(hi >= lo && hi <= 1.0, "--alpha-max must be in [alpha-min, 1]");
   ULBA_REQUIRE(step > 0.0, "--alpha-step must be positive");
 
+  // One ScheduleRequest carries the whole sweep; the response's grid rows
+  // are the per-alpha sigma+ evaluations the loop below used to compute.
+  // The grid stops at the request limit: a tiny step would otherwise grow
+  // it without bound (and loop forever once a + step == a).
+  core::ScheduleRequest request;
+  request.mode = core::EvalMode::kSigmaGrid;
+  request.params = base;
+  for (double a = lo; a <= hi + 1e-12; a += step) {
+    ULBA_REQUIRE(static_cast<std::int64_t>(request.alpha_grid.size()) <
+                     core::kMaxGridPoints,
+                 "--alpha-step gives more than " +
+                     std::to_string(core::kMaxGridPoints) +
+                     " alpha values in [alpha-min, alpha-max]");
+    request.alpha_grid.push_back(std::min(a, 1.0));
+  }
+
   out << "Alpha tuning: P=" << base.P << ", N=" << base.N
       << ", gamma=" << base.gamma << ", C=" << base.lb_cost << "s\n"
       << "(sweeping alpha in [" << lo << ", " << hi << "] by " << step
       << "; sigma+ schedule per alpha, Eq. (4)/(5) evaluation)\n\n";
-
-  // One ScheduleRequest carries the whole sweep; the response's grid rows
-  // are the per-alpha sigma+ evaluations the loop below used to compute.
-  core::ScheduleRequest request;
-  request.mode = core::EvalMode::kSigmaGrid;
-  request.params = base;
-  for (double a = lo; a <= hi + 1e-12; a += step)
-    request.alpha_grid.push_back(std::min(a, 1.0));
   const core::ScheduleResponse response =
       opt::evaluate_schedule_request(request);
   const double t_std = response.standard_seconds;
@@ -341,116 +349,6 @@ int run_alpha_tuning(const FlagMap& flags, std::ostream& out) {
   out << "best alpha = " << best_alpha << "  ("
       << (t_std - best_time) / t_std * 100.0 << " % over standard, "
       << t_std << " s -> " << best_time << " s)\n";
-  return 0;
-}
-
-int run_gossip(const FlagMap& flags, std::ostream& out) {
-  flags.require_known(
-      {"pes", "strong", "seed", "seeds", "iterations", "alpha", "trials"});
-  const std::int64_t pes = flags.get_int("pes", 32);
-  const std::int64_t strong = flags.get_int("strong", 1);
-  const std::uint64_t seed = flags.get_seed("seed", 11);
-  const std::int64_t seed_count = flags.get_int("seeds", 3);
-  const std::int64_t iterations = flags.get_int("iterations", 120);
-  const double alpha = flags.get_double("alpha", 0.4);
-  const std::int64_t trials = flags.get_int("trials", 10);
-  // The latency table sweeps up to 4·pes PEs over O(P²)-memory gossip
-  // networks — cap the knob so misuse fails fast instead of OOMing.
-  ULBA_REQUIRE(pes >= 4 && pes <= 256, "--pes must be in [4, 256]");
-  ULBA_REQUIRE(strong >= 1 && strong <= pes, "--strong must be in [1, pes]");
-  ULBA_REQUIRE(seed_count >= 1 && seed_count <= 64,
-               "--seeds must be in [1, 64]");
-  ULBA_REQUIRE(iterations >= 8, "--iterations must be at least 8");
-  ULBA_REQUIRE(alpha > 0.0 && alpha <= 1.0, "--alpha must be in (0, 1]");
-  ULBA_REQUIRE(trials >= 1 && trials <= 1000, "--trials must be in [1, 1000]");
-
-  out << "WIR-gossip ablation (paper Section III-C: one dissemination round "
-         "per\niteration; the principle of persistence tolerates "
-         "staleness)\n\n";
-
-  // Part 1 — dissemination latency: rounds until every PE knows every WIR.
-  std::vector<std::int64_t> fanouts;
-  for (const std::int64_t f : {1, 2, 4, 8})
-    if (f < pes) fanouts.push_back(f);
-  const std::vector<std::int64_t> pe_counts{pes, 2 * pes, 4 * pes};
-  out << "Rounds to full knowledge (median of " << trials << " trials):\n\n"
-      << gossip_latency_table(pe_counts, fanouts,
-                              static_cast<std::uint64_t>(trials), seed)
-             .render(2)
-      << "\n";
-
-  // Part 2 — end-to-end erosion impact per fanout, against the centralized
-  // zero-cost oracle (perfectly fresh WIR databases, no gossip traffic).
-  erosion::AppConfig base =
-      scaled_app_config(pes, strong, erosion::Method::kUlba, seed);
-  base.columns_per_pe = 128;
-  base.rows = 192;
-  base.rock_radius = 48;
-  base.iterations = iterations;
-  base.alpha = alpha;
-  std::vector<std::uint64_t> seeds;
-  for (std::int64_t s = 0; s < seed_count; ++s)
-    seeds.push_back(seed + 11 * static_cast<std::uint64_t>(s));
-
-  erosion::AppConfig oracle_cfg = base;
-  oracle_cfg.oracle_wir = true;
-  const ErosionAggregate oracle = erosion_median_over_seeds(oracle_cfg, seeds);
-
-  support::Table impact({"WIR source", "total time [s]", "LB calls",
-                         "mean util", "first LB", "vs oracle"});
-  impact.add_row({"oracle (centralized)",
-                  support::Table::num(oracle.median_seconds, 3),
-                  support::Table::num(oracle.median_lb_calls, 0),
-                  support::Table::pct(oracle.median_utilization, 1),
-                  support::Table::num(oracle.median_first_lb, 0), "-"});
-  std::vector<double> fanout_seconds, fanout_lags;
-  for (const std::int64_t f : fanouts) {
-    erosion::AppConfig cfg = base;
-    cfg.gossip_fanout = f;
-    const ErosionAggregate agg = erosion_median_over_seeds(cfg, seeds);
-    fanout_seconds.push_back(agg.median_seconds);
-    fanout_lags.push_back(agg.median_first_lb);
-    impact.add_row(
-        {"gossip fanout " + std::to_string(f),
-         support::Table::num(agg.median_seconds, 3),
-         support::Table::num(agg.median_lb_calls, 0),
-         support::Table::pct(agg.median_utilization, 1),
-         support::Table::num(agg.median_first_lb, 0),
-         support::Table::pct(
-             agg.median_seconds / oracle.median_seconds - 1.0, 2)});
-  }
-  out << "Erosion app (" << pes << " PEs, " << strong
-      << " strong rock(s), ULBA alpha=" << alpha << "), median of "
-      << seeds.size() << " seed(s):\n\n"
-      << impact.render(2) << "\n";
-
-  // Part 3 — WIR smoothing: detection lag (first LB call) vs. stability.
-  const std::vector<double> smoothings{0.25, 0.5, 0.75, 1.0};
-  support::Table smooth_table(
-      {"smoothing", "total time [s]", "LB calls", "first LB"});
-  for (const double s : smoothings) {
-    erosion::AppConfig cfg = base;
-    cfg.wir_smoothing = s;
-    const ErosionAggregate agg = erosion_median_over_seeds(cfg, seeds);
-    smooth_table.add_row({support::Table::num(s, 2),
-                          support::Table::num(agg.median_seconds, 3),
-                          support::Table::num(agg.median_lb_calls, 0),
-                          support::Table::num(agg.median_first_lb, 0)});
-  }
-  out << "WIR smoothing sweep (gossip fanout " << base.gossip_fanout
-      << "; raw EMA factor, 1.0 = unsmoothed):\n\n"
-      << smooth_table.render(2) << "\n";
-
-  const double degradation_f1 =
-      fanout_seconds.front() / oracle.median_seconds - 1.0;
-  out << "findings:\n"
-      << "  slowest dissemination (fanout 1) costs "
-      << support::Table::pct(degradation_f1, 2)
-      << " vs the centralized oracle\n"
-      << "  detection lag, fanout 1 vs oracle: "
-      << fanout_lags.front() - oracle.median_first_lb << " iteration(s)\n"
-      << "  (stale WIRs are still good WIRs; extra gossip traffic buys "
-         "little — the paper's\n   one-round-per-iteration choice)\n";
   return 0;
 }
 

@@ -37,11 +37,6 @@ int run_intervals(const FlagMap& flags, std::ostream& out);
 /// gain landscape vs. the standard method (analytic Figure-5 counterpart).
 int run_alpha_tuning(const FlagMap& flags, std::ostream& out);
 
-/// `gossip` — WIR-gossip ablation (§III-C): dissemination latency per
-/// fanout, end-to-end erosion degradation of each fanout vs. the
-/// centralized zero-cost oracle, and the smoothing/detection-lag sweep.
-int run_gossip(const FlagMap& flags, std::ostream& out);
-
 /// `instances` — Table-II-style sweep over the InstanceGenerator families
 /// (one per pinned PE count): win/loss/gain statistics of ULBA vs. the
 /// standard method, at the drawn α and at the per-instance best α.

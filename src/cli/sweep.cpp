@@ -1,13 +1,8 @@
 #include "cli/sweep.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
+#include <chrono>
 #include <string>
 
-#include <chrono>
-
-#include "core/gossip.hpp"
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "core/schedule_query.hpp"
@@ -49,62 +44,6 @@ erosion::AppConfig scaled_app_config(std::int64_t pe_count,
   c.comm.latency_s = 1e-4;
   c.comm.bandwidth_Bps = 2e9;
   return c;
-}
-
-support::Table gossip_latency_table(std::span<const std::int64_t> pe_counts,
-                                    std::span<const std::int64_t> fanouts,
-                                    std::uint64_t trials,
-                                    std::uint64_t seed) {
-  ULBA_REQUIRE(trials >= 1, "need at least one latency trial");
-  std::vector<std::string> headers{"P"};
-  for (const std::int64_t fanout : fanouts)
-    headers.push_back("fanout " + std::to_string(fanout));
-  headers.emplace_back("~log2(P)");
-  support::Table table(std::move(headers));
-  for (const std::int64_t pe_count : pe_counts) {
-    std::vector<std::string> row{std::to_string(pe_count)};
-    for (const std::int64_t fanout : fanouts) {
-      ULBA_REQUIRE(fanout >= 1 && fanout < pe_count,
-                   "fanout must lie in [1, P)");
-      std::vector<double> rounds;
-      for (std::uint64_t trial = 0; trial < trials; ++trial) {
-        core::GossipNetwork net(pe_count, fanout);
-        for (std::int64_t pe = 0; pe < pe_count; ++pe)
-          net.observe_local(pe, 1.0, 0);
-        rounds.push_back(static_cast<double>(net.rounds_to_full_knowledge(
-            support::Rng(seed).fork(trial))));
-      }
-      row.push_back(support::Table::num(support::median(rounds), 1));
-    }
-    row.push_back(
-        support::Table::num(std::log2(static_cast<double>(pe_count)), 1));
-    table.add_row(row);
-  }
-  return table;
-}
-
-ErosionAggregate erosion_median_over_seeds(
-    erosion::AppConfig cfg, std::span<const std::uint64_t> seeds) {
-  ULBA_REQUIRE(!seeds.empty(), "need at least one seed");
-  const auto results = parallel_map(seeds.size(), [&](std::size_t i) {
-    erosion::AppConfig c = cfg;
-    c.seed = seeds[i];
-    return erosion::ErosionApp(c).run();
-  });
-  std::vector<double> t, calls, util, first_lb;
-  for (const erosion::RunResult& r : results) {
-    t.push_back(r.total_seconds);
-    calls.push_back(static_cast<double>(r.lb_count));
-    util.push_back(r.average_utilization);
-    first_lb.push_back(static_cast<double>(
-        r.lb_iterations.empty() ? cfg.iterations : r.lb_iterations.front()));
-  }
-  ErosionAggregate agg;
-  agg.median_seconds = support::median(t);
-  agg.median_lb_calls = support::median(calls);
-  agg.median_utilization = support::median(util);
-  agg.median_first_lb = support::median(first_lb);
-  return agg;
 }
 
 namespace {

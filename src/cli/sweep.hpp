@@ -1,11 +1,9 @@
-// Shared sweep/report machinery behind the `ulba_cli` scenario subcommands
-// AND the bench/ experiment harness binaries.
-//
-// PR 1 left the gossip-ablation and Table-II sweeps living only in bench/
-// (bench_ablation_gossip, bench_table2_instances); promoting the scenario
-// logic here lets `ulba_cli gossip` / `ulba_cli instances` and the bench
-// binaries drive ONE implementation instead of duplicating scenario code —
-// bench_common.hpp now merely forwards to this layer.
+// The sweep layer: the seeded experiment sweeps that the `ulba_cli`
+// scenario subcommands and the bench/ harness binaries share, so both drive
+// one implementation — parallel_map, the scaled erosion configuration, the
+// Table-II instance families (serial and served), the Figure-2
+// interval-quality sweep and the distributed-erosion scaling sweep.
+// bench_common.hpp only re-exports it.
 #pragma once
 
 #include <algorithm>
@@ -19,7 +17,6 @@
 #include "core/instance.hpp"
 #include "erosion/app.hpp"
 #include "serve/service.hpp"
-#include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ulba::cli {
@@ -27,8 +24,8 @@ namespace ulba::cli {
 /// Run `fn(i)` for i in [0, n) across `pool`; returns the results in index
 /// order (R must be default-constructible). Each unit of work must be
 /// independent and seeded. Index claiming keeps imbalanced sweep cases
-/// (e.g. different fanouts) packed tightly; exceptions thrown by `fn`
-/// propagate to the caller (first one wins, the rest of the range is
+/// (e.g. random instances of varying size) packed tightly; exceptions thrown
+/// by `fn` propagate to the caller (first one wins, the rest of the range is
 /// abandoned).
 template <typename Fn>
 auto parallel_map(support::ThreadPool& pool, std::size_t n, Fn&& fn)
@@ -64,33 +61,6 @@ auto parallel_map(std::size_t n, Fn&& fn)
                                                    std::int64_t strong_rocks,
                                                    erosion::Method method,
                                                    std::uint64_t seed);
-
-// ---------------------------------------------------------------------------
-// Gossip-ablation sweep (ulba_cli gossip, bench_ablation_gossip)
-// ---------------------------------------------------------------------------
-
-/// Dissemination-latency table: median rounds (over `trials` trials, with
-/// per-trial streams forked from `seed`) until every PE knows every WIR,
-/// for each PE count × fanout, with a ~log2(P) reference column.
-[[nodiscard]] support::Table gossip_latency_table(
-    std::span<const std::int64_t> pe_counts,
-    std::span<const std::int64_t> fanouts, std::uint64_t trials,
-    std::uint64_t seed);
-
-/// Seed-median aggregate of one erosion configuration — the unit every
-/// gossip/fanout/smoothing sweep reports.
-struct ErosionAggregate {
-  double median_seconds = 0.0;      ///< virtual total time
-  double median_lb_calls = 0.0;
-  double median_utilization = 0.0;  ///< machine-wide busy fraction
-  double median_first_lb = 0.0;  ///< first LB iteration (detection lag; the
-                                 ///< iteration count when no LB ever fired)
-};
-
-/// Run `cfg` once per seed (in parallel) and reduce to medians. Everything
-/// except `cfg.seed` is taken from `cfg` as given.
-[[nodiscard]] ErosionAggregate erosion_median_over_seeds(
-    erosion::AppConfig cfg, std::span<const std::uint64_t> seeds);
 
 // ---------------------------------------------------------------------------
 // Table-II instance-family sweep (ulba_cli instances, bench_table2_instances)

@@ -30,12 +30,6 @@ void GossipNetwork::observe_local(std::int64_t pe, double wir,
   database(pe).update(pe, wir, iteration);
 }
 
-void GossipNetwork::observe_oracle(std::int64_t pe, double wir,
-                                   std::int64_t iteration) {
-  ULBA_REQUIRE(pe >= 0 && pe < pe_count(), "PE index out of range");
-  for (WirDatabase& db : dbs_) db.update(pe, wir, iteration);
-}
-
 void GossipNetwork::step(support::Rng& rng) {
   // Merge against the pre-round snapshot: all messages of a round carry the
   // state each PE had when the round began.

@@ -34,12 +34,6 @@ class GossipNetwork {
   /// database (what Algorithm 1 does before disseminating).
   void observe_local(std::int64_t pe, double wir, std::int64_t iteration);
 
-  /// Centralized-oracle dissemination: record PE `pe`'s measurement into
-  /// EVERY database at once, as if a zero-cost broadcast completed instantly.
-  /// The gossip-ablation scenarios use this as the staleness-free reference
-  /// that `step`-based epidemic dissemination is measured against.
-  void observe_oracle(std::int64_t pe, double wir, std::int64_t iteration);
-
   /// One dissemination round: every PE pushes its database to `fanout`
   /// distinct random peers (≠ itself). Target selection draws from `rng`;
   /// merges are applied against the pre-round snapshot so the round is
@@ -47,8 +41,9 @@ class GossipNetwork {
   /// where all sends happen before any receive of the same superstep).
   void step(support::Rng& rng);
 
-  /// Rounds taken until every database knows every PE (useful for the gossip
-  /// ablation); runs on a copy, leaves the network untouched.
+  /// Rounds taken until every database knows every PE — the dissemination
+  /// latency the property tests bound by O(log P); runs on a copy, leaves
+  /// the network untouched.
   [[nodiscard]] std::int64_t rounds_to_full_knowledge(support::Rng rng) const;
 
  private:

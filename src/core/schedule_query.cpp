@@ -55,7 +55,6 @@ std::vector<T> read_counted(std::span<const std::byte>& in) {
 
 constexpr std::int64_t kRequestVersion = 1;
 constexpr std::int64_t kResponseVersion = 1;
-constexpr std::int64_t kMaxGridPoints = 4096;
 
 }  // namespace
 

@@ -37,6 +37,9 @@ enum class EvalMode : std::uint8_t {
   kExactDp = 1,
 };
 
+/// The largest candidate-α grid a request (and a response) may carry.
+inline constexpr std::int64_t kMaxGridPoints = 4096;
+
 /// One alpha-schedule query: model parameters in, schedule + gain out.
 /// `params.alpha` is the instance's drawn ("applied") α; `alpha_grid` lists
 /// the candidate α's evaluated in order (α = 0 rows short-circuit to the

@@ -19,6 +19,10 @@ namespace ulba::erosion {
 
 namespace {
 
+/// Per-fluid-neighbour erosion probabilities of the paper's rocks (§IV-B).
+constexpr double kWeakErosionProbability = 0.02;
+constexpr double kStrongErosionProbability = 0.4;
+
 /// Prior LB-cost estimate: only the communication phases are predictable
 /// before the first step (migration volume and rebuild depend on the data).
 /// A deliberately low prior makes the first LB fire early — a cheap probing
@@ -60,13 +64,9 @@ class LbController {
         boundaries_(lb::even_partition(columns, config.pe_count)),
         // Gossip traffic per iteration: each PE pushes its P-entry database
         // (16 bytes per entry) to `fanout` peers; pushes proceed
-        // concurrently, so one PE's cost is its own `fanout` sends. The
-        // oracle reference pays nothing — it models perfect knowledge, not
-        // a protocol.
-        gossip_seconds_(config.oracle_wir
-                            ? 0.0
-                            : static_cast<double>(config.gossip_fanout) *
-                                  config.comm.p2p(16 * config.pe_count)),
+        // concurrently, so one PE's cost is its own `fanout` sends.
+        gossip_seconds_(static_cast<double>(config.gossip_fanout) *
+                        config.comm.p2p(16 * config.pe_count)),
         wir_(static_cast<std::size_t>(config.pe_count), 0.0) {
     balancer_.set_partitioner(std::move(partitioner));
     result_.iterations.reserve(static_cast<std::size_t>(config.iterations));
@@ -89,15 +89,12 @@ class LbController {
         const double raw = std::max(0.0, loads[i] - prev_loads_[i]);
         wir_[i] = config_.wir_smoothing * raw +
                   (1.0 - config_.wir_smoothing) * wir_[i];
-        if (config_.oracle_wir)
-          gossip_.observe_oracle(p, wir_[i], iter);
-        else
-          gossip_.observe_local(p, wir_[i], iter);
+        gossip_.observe_local(p, wir_[i], iter);
       }
     }
     prev_loads_ = loads;
     wir_valid_ = true;
-    if (!config_.oracle_wir) gossip_.step(gossip_rng_);
+    gossip_.step(gossip_rng_);
 
     pending_ = IterationRecord{};
     pending_.seconds = report.seconds;
@@ -312,9 +309,6 @@ void AppConfig::validate() const {
                "rocks must fit one per initial stripe without touching");
   ULBA_REQUIRE(strong_rock_count >= 0 && strong_rock_count <= pe_count,
                "strong rocks must number in [0, P]");
-  ULBA_REQUIRE(weak_probability >= 0.0 && weak_probability <= 1.0 &&
-                   strong_probability >= 0.0 && strong_probability <= 1.0,
-               "erosion probabilities must lie in [0, 1]");
   ULBA_REQUIRE(iterations >= 1, "need at least one iteration");
   ULBA_REQUIRE(flops > 0.0, "PE speed must be positive");
   ULBA_REQUIRE(alpha >= 0.0 && alpha <= 1.0, "alpha must lie in [0, 1]");
@@ -358,8 +352,8 @@ DomainConfig ErosionApp::make_domain() const {
     disc.cy = config_.rows / 2;
     disc.radius = config_.rock_radius;
     disc.erosion_prob = is_strong[static_cast<std::size_t>(i)]
-                            ? config_.strong_probability
-                            : config_.weak_probability;
+                            ? kStrongErosionProbability
+                            : kWeakErosionProbability;
     d.discs.push_back(disc);
   }
   d.validate();

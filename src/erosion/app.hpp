@@ -47,8 +47,6 @@ struct AppConfig {
   std::int64_t rows = 1000;            ///< paper: 1000
   std::int64_t rock_radius = 250;      ///< paper: 250
   std::int64_t strong_rock_count = 1;  ///< paper sweeps 1–3
-  double weak_probability = 0.02;      ///< paper: 0.02
-  double strong_probability = 0.4;     ///< paper: 0.4
   double flop_per_cell = 52.0;         ///< [14]: 52–1165 FLOP per cell
   double bytes_per_cell = 64.0;
   std::int64_t iterations = 400;
@@ -58,10 +56,6 @@ struct AppConfig {
   double zscore_threshold = 3.0;
   std::int64_t gossip_fanout = 2;
   double wir_smoothing = 0.5;  ///< EMA factor on raw per-iteration WIR
-  /// Replace epidemic WIR dissemination with a zero-cost instant broadcast:
-  /// every database is perfectly fresh each iteration and no gossip traffic
-  /// is charged. The staleness-free reference of the gossip ablation.
-  bool oracle_wir = false;
   bsp::CommModel comm{};
   std::uint64_t seed = 1;
   /// Host threads stepping the erosion dynamics (per rank when ranks > 1).
@@ -161,7 +155,8 @@ class ErosionApp {
 
   /// Build the domain this config describes: pe_count discs of the given
   /// radius, centered in each initial stripe, `strong_rock_count` of them
-  /// strongly erodible (chosen by the placement stream of `seed`).
+  /// strongly erodible (chosen by the placement stream of `seed`). Erosion
+  /// probabilities are the paper's: 0.4 for a strong disc, 0.02 otherwise.
   [[nodiscard]] DomainConfig make_domain() const;
 
   /// Execute the full run. Deterministic for a given config.

@@ -125,10 +125,10 @@ ScheduleResponse evaluate_schedule_request(const ScheduleRequest& request) {
 }
 
 ScheduleCache::ScheduleCache(std::int64_t capacity, std::int64_t shards)
-    : capacity_(capacity),
-      shard_capacity_(std::max<std::int64_t>(1, capacity / shards)) {
+    : capacity_(capacity) {
   ULBA_REQUIRE(capacity >= 1, "schedule cache capacity must be >= 1");
   ULBA_REQUIRE(shards >= 1, "schedule cache shard count must be >= 1");
+  shard_capacity_ = std::max<std::int64_t>(1, capacity / shards);
   shards_.reserve(static_cast<std::size_t>(shards));
   for (std::int64_t s = 0; s < shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());

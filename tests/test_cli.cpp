@@ -197,12 +197,21 @@ TEST(Cli, IntervalsRejectsMistypedDpValue) {
                std::invalid_argument);
 }
 
-TEST(Cli, AlphaTuningRejectsInvertedRange) {
+TEST(Cli, AlphaTuningRejectsBadRanges) {
   std::ostringstream out;
   EXPECT_THROW(run({"alpha-tuning", "--alpha-min", "0.8", "--alpha-max",
                     "0.2"},
                    out),
                std::invalid_argument);
+  // A step too fine for the request's grid limit is a usage error of the
+  // flag itself, raised before the grid grows past the limit.
+  try {
+    (void)run({"alpha-tuning", "--alpha-step", "1e-6"}, out);
+    ADD_FAILURE() << "--alpha-step 1e-6 must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--alpha-step"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Cli, ErosionDispatchesOnTinyDomain) {

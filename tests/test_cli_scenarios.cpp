@@ -102,12 +102,6 @@ TEST(CliGolden, AlphaTuning) {
                          "0.8", "--alpha-step", "0.2"});
 }
 
-TEST(CliGolden, Gossip) {
-  expect_matches_golden("gossip",
-                        {"gossip", "--pes", "8", "--seeds", "1",
-                         "--iterations", "40", "--trials", "3"});
-}
-
 TEST(CliGolden, Instances) {
   expect_matches_golden("instances", {"instances", "--samples", "40",
                                       "--alpha-grid", "10"});
@@ -154,17 +148,6 @@ TEST(CliScenarios, ReportInvariantAcrossThreadsAndRanks) {
 // ---------------------------------------------------------------------------
 // Determinism: same invocation, byte-identical report
 // ---------------------------------------------------------------------------
-TEST(CliScenarios, GossipIsDeterministicPerSeedAndSensitiveToIt) {
-  const std::vector<std::string> args{"gossip",  "--pes",    "8",
-                                      "--seeds", "1",        "--iterations",
-                                      "40",      "--trials", "3"};
-  EXPECT_EQ(run_cli(args), run_cli(args));
-  std::vector<std::string> other = args;
-  other.push_back("--seed");
-  other.push_back("77");
-  EXPECT_NE(run_cli(args), run_cli(other));
-}
-
 TEST(CliScenarios, InstancesIsDeterministicPerSeedAndSensitiveToIt) {
   const std::vector<std::string> args{"instances", "--samples", "40",
                                       "--alpha-grid", "10"};
@@ -176,21 +159,8 @@ TEST(CliScenarios, InstancesIsDeterministicPerSeedAndSensitiveToIt) {
 }
 
 // ---------------------------------------------------------------------------
-// Flag rejection for the two new subcommands
+// Flag rejection
 // ---------------------------------------------------------------------------
-TEST(CliScenarios, GossipRejectsBadFlags) {
-  std::ostringstream out;
-  EXPECT_THROW(run({"gossip", "--frobnicate", "1"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"gossip", "--pes", "2"}, out), std::invalid_argument);
-  EXPECT_THROW(run({"gossip", "--seeds", "0"}, out), std::invalid_argument);
-  EXPECT_THROW(run({"gossip", "--trials", "0"}, out), std::invalid_argument);
-  EXPECT_THROW(run({"gossip", "--alpha", "1.5"}, out), std::invalid_argument);
-  EXPECT_THROW(run({"gossip", "--iterations", "2"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"gossip", "positional"}, out), std::invalid_argument);
-}
-
 TEST(CliScenarios, InstancesRejectsBadFlags) {
   std::ostringstream out;
   EXPECT_THROW(run({"instances", "--frobnicate", "1"}, out),
@@ -304,8 +274,9 @@ TEST(CliScenarios, RetiredFlagsAndBareMtAreRejected) {
     }
   }
   // ... and the harnesses built on retired machinery are gone: the
-  // anticipation-vs-reactive harness and the dynamic-α ablation.
-  for (const std::string sub : {"anticipation", "dynamic-alpha"}) {
+  // anticipation-vs-reactive harness, the dynamic-α ablation and the
+  // WIR-gossip ablation with its zero-cost oracle.
+  for (const std::string sub : {"anticipation", "dynamic-alpha", "gossip"}) {
     try {
       (void)run({sub}, out);
       ADD_FAILURE() << "the " << sub << " subcommand must be rejected";

@@ -92,10 +92,16 @@ TEST(App, MakeDomainPlacesOneDiscPerStripe) {
     EXPECT_EQ(d.discs[i].cx, static_cast<std::int64_t>(i) * 64 + 32);
     EXPECT_EQ(d.discs[i].cy, 32);
   }
+  // The paper's erosion probabilities: 0.4 for the strong disc, 0.02 for
+  // every other.
   const auto strong = std::count_if(
       d.discs.begin(), d.discs.end(),
       [](const RockDisc& r) { return r.erosion_prob == 0.4; });
+  const auto weak = std::count_if(
+      d.discs.begin(), d.discs.end(),
+      [](const RockDisc& r) { return r.erosion_prob == 0.02; });
   EXPECT_EQ(strong, 1);
+  EXPECT_EQ(weak, 15);
 }
 
 TEST(App, DynamicsKeyIsTheForkedSubSeed) {

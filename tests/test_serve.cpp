@@ -178,6 +178,14 @@ TEST(ScheduleCache, EvictionBoundHolds) {
       again, opt::evaluate_schedule_request(requests.front())));
 }
 
+TEST(ScheduleCache, RejectsBadSizes) {
+  // Each size is checked before it is used: a zero shard count must throw,
+  // not divide by zero.
+  EXPECT_THROW(opt::ScheduleCache(16, 0), std::invalid_argument);
+  EXPECT_THROW(opt::ScheduleCache(0, 4), std::invalid_argument);
+  EXPECT_THROW(opt::ScheduleCache(16, -1), std::invalid_argument);
+}
+
 TEST(ScheduleCache, ConcurrentClientsAreDeterministic) {
   opt::ScheduleCache cache(256, 8);
   const std::vector<core::ScheduleRequest> pool = {

@@ -256,17 +256,6 @@ TEST(Gossip, RandomizedStalenessStaysLogarithmicish) {
   }
 }
 
-TEST(Gossip, OracleObservationReachesEveryDatabaseInstantly) {
-  GossipNetwork net(8, 1);
-  net.observe_oracle(3, 4.5, 2);
-  for (std::int64_t pe = 0; pe < 8; ++pe) {
-    EXPECT_TRUE(net.database(pe).entry(3).known()) << "PE " << pe;
-    EXPECT_DOUBLE_EQ(net.database(pe).entry(3).wir, 4.5);
-    EXPECT_EQ(net.database(pe).entry(3).iteration, 2);
-  }
-  EXPECT_THROW(net.observe_oracle(8, 1.0, 0), std::invalid_argument);
-}
-
 TEST(Gossip, FresherObservationsOverwriteDuringDissemination) {
   GossipNetwork net(4, 3);  // full fanout: one round reaches everyone
   net.observe_local(0, 1.0, 0);
