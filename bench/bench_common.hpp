@@ -14,8 +14,6 @@
 
 namespace ulba::bench {
 
-using cli::distributed_erosion_scaling;
-using cli::DistributedScalingRow;
 using cli::instance_family_stats;
 using cli::interval_quality_sweep;
 using cli::IntervalQualitySample;

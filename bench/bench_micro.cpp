@@ -160,11 +160,8 @@ BENCHMARK(BM_ErosionStepCounter)->Arg(1)->Arg(8)->UseRealTime();
 
 void BM_DistributedErosionStep(benchmark::State& state) {
   // One measured unit = an 8-step SPMD run over 4 ranks (construction
-  // included — spawning the world is part of what the exchange mode must
-  // amortize). Arg 0 = the all-to-all reference, Arg 1 = neighbor-aware;
-  // the pair documents what the neighbor exchange buys per step.
-  const auto mode = state.range(0) == 0 ? erosion::ExchangeMode::kAllToAll
-                                        : erosion::ExchangeMode::kNeighbor;
+  // included — spawning the world is part of what the step exchange must
+  // amortize).
   erosion::DomainConfig cfg;
   cfg.columns = 16 * 48;
   cfg.rows = 64;
@@ -174,11 +171,8 @@ void BM_DistributedErosionStep(benchmark::State& state) {
   for (auto _ : state) {
     std::int64_t eroded = 0;
     runtime::spmd_run(4, [&](runtime::Comm& comm) {
-      erosion::DistributedDomain domain(
-          cfg, comm,
-          std::shared_ptr<const lb::Partitioner>(
-              lb::make_partitioner("greedy")),
-          mode);
+      erosion::DistributedDomain domain(cfg, comm,
+                                        lb::make_partitioner("greedy"));
       std::int64_t total = 0;
       for (int s = 0; s < 8; ++s) total += domain.step_counter(4, s);
       if (comm.rank() == 0) eroded = total;
@@ -186,7 +180,7 @@ void BM_DistributedErosionStep(benchmark::State& state) {
     benchmark::DoNotOptimize(eroded);
   }
 }
-BENCHMARK(BM_DistributedErosionStep)->Arg(0)->Arg(1);
+BENCHMARK(BM_DistributedErosionStep);
 
 void BM_DpAlphaSchedule(benchmark::State& state) {
   const core::ModelParams p = bench_params();

@@ -99,20 +99,7 @@ std::string instances_help() {
          "  --samples <int>         instances per PE family        [200]\n"
          "  --seed <int>            sampling seed                  "
          "[20190916]\n"
-         "  --alpha-grid <int>      best-alpha grid resolution     [20]\n"
-         "  --ranks <int>           fan the sweep over the schedule service: "
-         "rank 0\n"
-         "                          serves, ranks 1..N-1 submit their "
-         "interleaved\n"
-         "                          sample shares as ScheduleRequests "
-         "(statistics\n"
-         "                          bit-identical to the serial sweep)  [1]\n"
-         "  --serve-batch <int>     server mailbox batch limit (--ranks)  "
-         "[32]\n"
-         "  --cache-capacity <int>  service memo-cache capacity (--ranks)  "
-         "[4096]\n"
-         "  --cache-shards <int>    service memo-cache shards (--ranks)  "
-         "[8]\n";
+         "  --alpha-grid <int>      best-alpha grid resolution     [20]\n";
 }
 
 std::string serve_help() {

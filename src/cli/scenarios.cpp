@@ -150,7 +150,8 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   const double alpha = flags.get_double("alpha", 0.4);
   const std::int64_t threads = flags.get_int("threads", 1);
   const std::int64_t ranks = flags.get_int("ranks", 1);
-  ULBA_REQUIRE(pe_count >= 2, "--pes must be at least 2");
+  ULBA_REQUIRE(pe_count >= 3,
+               "--pes must be at least 3: each PE gossips to 2 peers");
   ULBA_REQUIRE(strong >= 1 && strong <= pe_count,
                "--strong must be in [1, pes]");
   ULBA_REQUIRE(alpha > 0.0 && alpha <= 1.0, "--alpha must be in (0, 1]");
@@ -353,31 +354,13 @@ int run_alpha_tuning(const FlagMap& flags, std::ostream& out) {
 }
 
 int run_instances(const FlagMap& flags, std::ostream& out) {
-  flags.require_known({"samples", "seed", "alpha-grid", "ranks", "serve-batch",
-                       "cache-capacity", "cache-shards"});
+  flags.require_known({"samples", "seed", "alpha-grid"});
   const std::int64_t samples = flags.get_int("samples", 200);
   const std::uint64_t seed = flags.get_seed("seed", 20190916);
   const std::int64_t grid = flags.get_int("alpha-grid", 20);
-  const std::int64_t ranks = flags.get_int("ranks", 1);
-  const std::int64_t serve_batch = flags.get_int("serve-batch", 32);
-  const std::int64_t cache_capacity = flags.get_int("cache-capacity", 4096);
-  const std::int64_t cache_shards = flags.get_int("cache-shards", 8);
   ULBA_REQUIRE(samples >= 1 && samples <= 100000,
                "--samples must be in [1, 100000]");
   ULBA_REQUIRE(grid >= 1 && grid <= 1000, "--alpha-grid must be in [1, 1000]");
-  ULBA_REQUIRE(ranks >= 1 && ranks <= 64, "--ranks must be in [1, 64]");
-  ULBA_REQUIRE(!flags.has("serve-batch") || ranks > 1,
-               "--serve-batch tunes the schedule service; pass --ranks");
-  ULBA_REQUIRE(!flags.has("cache-capacity") || ranks > 1,
-               "--cache-capacity sizes the service's memo cache; pass "
-               "--ranks");
-  ULBA_REQUIRE(!flags.has("cache-shards") || ranks > 1,
-               "--cache-shards shards the service's memo cache; pass --ranks");
-  ULBA_REQUIRE(serve_batch >= 1 && serve_batch <= 4096,
-               "--serve-batch must be in [1, 4096]");
-  ULBA_REQUIRE(cache_capacity >= 1, "--cache-capacity must be at least 1");
-  ULBA_REQUIRE(cache_shards >= 1 && cache_shards <= 64,
-               "--cache-shards must be in [1, 64]");
 
   out << "Table-II instance sweep: ULBA vs standard over the paper's random\n"
          "application families (" << samples << " instances per PE family, "
@@ -388,23 +371,8 @@ int run_instances(const FlagMap& flags, std::ostream& out) {
                         "avg best-alpha"});
   std::int64_t total_wins = 0, total_losses = 0;
   double peak_best_gain = 0.0;
-  std::vector<FamilyStats> families;
-  serve::ServeMetrics served_metrics;
-  if (ranks == 1) {
-    for (const std::int64_t p : core::kTableIIPeCounts)
-      families.push_back(instance_family_stats(p, samples, seed, grid));
-  } else {
-    serve::ServeOptions serve_options;
-    serve_options.batch_limit = serve_batch;
-    serve_options.cache_capacity = cache_capacity;
-    serve_options.cache_shards = cache_shards;
-    const ServedSweepResult served = instance_sweep_served(
-        core::kTableIIPeCounts, samples, seed, grid,
-        static_cast<int>(ranks), serve_options);
-    families = served.families;
-    served_metrics = served.metrics;
-  }
-  for (const FamilyStats& s : families) {
+  for (const std::int64_t p : core::kTableIIPeCounts) {
+    const FamilyStats s = instance_family_stats(p, samples, seed, grid);
     total_wins += s.wins;
     total_losses += s.losses;
     peak_best_gain = std::max(peak_best_gain, s.median_best_gain);
@@ -425,18 +393,6 @@ int run_instances(const FlagMap& flags, std::ostream& out) {
       << " losses at the drawn alpha; median best-alpha gain up to "
       << support::Table::pct(peak_best_gain, 2)
       << " (paper Fig. 3: up to ~21 %)\n";
-  if (ranks > 1) {
-    out << "\nserved over " << ranks << " ranks (1 server + " << ranks - 1
-        << " clients, batch limit " << serve_batch << "):\n"
-        << "  requests " << served_metrics.requests << ", cache hits "
-        << served_metrics.cache_hits << ", misses "
-        << served_metrics.cache_misses << " (hit rate "
-        << support::Table::pct(served_metrics.hit_rate(), 1) << ")\n"
-        << "  batches " << served_metrics.batches << ", max batch "
-        << served_metrics.max_batch << ", traffic "
-        << served_metrics.request_bytes << " B in / "
-        << served_metrics.response_bytes << " B out\n";
-  }
   return 0;
 }
 

@@ -1,22 +1,18 @@
 // The sweep layer: the seeded experiment sweeps that the `ulba_cli`
 // scenario subcommands and the bench/ harness binaries share, so both drive
 // one implementation — parallel_map, the scaled erosion configuration, the
-// Table-II instance families (serial and served), the Figure-2
-// interval-quality sweep and the distributed-erosion scaling sweep.
+// Table-II instance families and the Figure-2 interval-quality sweep.
 // bench_common.hpp only re-exports it.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/instance.hpp"
 #include "erosion/app.hpp"
-#include "serve/service.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ulba::cli {
@@ -92,24 +88,6 @@ struct FamilyStats {
                                                 std::uint64_t base_seed,
                                                 std::int64_t alpha_grid);
 
-/// The Table-II sweep as the schedule service's first heavy client.
-struct ServedSweepResult {
-  std::vector<FamilyStats> families;  ///< parallel to the pin_ps argument
-  serve::ServeMetrics metrics;        ///< the server rank's counters
-};
-
-/// Fan the instance sweep out over `ranks` SPMD ranks: rank 0 runs
-/// serve::serve_loop, every other rank builds the same per-sample
-/// ScheduleRequests the serial sweep evaluates and pipelines them to the
-/// server (client r owns the interleaved sample indices r−1, r−1+(ranks−1),
-/// … of every family — non-stripe work distribution). Draws are reassembled
-/// into sample order before the reduction, so every FamilyStats field is
-/// bit-identical to instance_family_stats for the same inputs. `ranks` ≥ 2.
-[[nodiscard]] ServedSweepResult instance_sweep_served(
-    std::span<const std::int64_t> pin_ps, std::int64_t samples,
-    std::uint64_t base_seed, std::int64_t alpha_grid, int ranks,
-    const serve::ServeOptions& options);
-
 // ---------------------------------------------------------------------------
 // Fig-2 interval-quality sweep (ulba_cli interval-quality,
 // bench_fig2_interval_quality)
@@ -129,37 +107,5 @@ struct IntervalQualitySample {
 /// Deterministic; the unit behind the paper's Figure 2.
 [[nodiscard]] std::vector<IntervalQualitySample> interval_quality_sweep(
     std::size_t instances, std::int64_t sa_steps, std::uint64_t seed);
-
-// ---------------------------------------------------------------------------
-// Distributed-erosion scaling sweep (bench_distributed_erosion;
-// `erosion --ranks` drives the same ErosionApp implementation)
-// ---------------------------------------------------------------------------
-
-/// One (rank count, exchange mode) cell of the distributed scaling sweep.
-struct DistributedScalingRow {
-  std::int64_t ranks = 0;
-  std::string exchange;          ///< "alltoall" | "neighbor"
-  double wall_seconds = 0.0;     ///< measured host wall clock of the run
-  double virtual_seconds = 0.0;  ///< RunResult::total_seconds (rank-invariant)
-  std::int64_t lb_count = 0;
-  std::int64_t discs_moved = 0;  ///< rank-ownership migrations, all LB steps
-  double observed_mb = 0.0;      ///< real migration payload on the wire [MB]
-  /// Per-step exchange messages over the whole run, summed across ranks —
-  /// the number the neighbor-vs-all-to-all comparison is about.
-  std::int64_t step_messages = 0;
-  /// 1 when every trajectory-facing RunResult field (times, LB schedule,
-  /// per-iteration records) is bit-identical to the ranks = 1 reference —
-  /// the determinism contract.
-  std::uint8_t matches_serial = 0;
-};
-
-/// Run the scaled erosion app distributed over every rank count ×
-/// exchange-mode combination and compare each RunResult bit-for-bit against
-/// the in-process reference. Runs sequentially (each cell already spawns
-/// `ranks` SPMD threads).
-[[nodiscard]] std::vector<DistributedScalingRow> distributed_erosion_scaling(
-    std::span<const std::int64_t> rank_counts,
-    std::span<const std::string> exchanges, std::int64_t pe_count,
-    std::int64_t strong_rocks, std::uint64_t seed, std::int64_t iterations);
 
 }  // namespace ulba::cli

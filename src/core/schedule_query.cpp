@@ -42,7 +42,8 @@ template <typename T>
 std::vector<T> read_counted(std::span<const std::byte>& in) {
   const auto count = read_raw<std::int64_t>(in);
   ULBA_REQUIRE(count >= 0, "negative count in schedule-query payload");
-  ULBA_REQUIRE(in.size() >= static_cast<std::size_t>(count) * sizeof(T),
+  // Divide rather than multiply: count · sizeof(T) wraps for a huge count.
+  ULBA_REQUIRE(static_cast<std::size_t>(count) <= in.size() / sizeof(T),
                "truncated schedule-query payload");
   std::vector<T> items(static_cast<std::size_t>(count));
   if (count > 0) {

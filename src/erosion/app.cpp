@@ -219,8 +219,7 @@ RunResult run_distributed(const AppConfig& config,
       R, [&](runtime::Comm& comm) {
         const std::shared_ptr<const lb::Partitioner> partitioner(
             lb::make_partitioner(config.partitioner));
-        DistributedDomain domain(domain_config, comm, partitioner,
-                                 exchange_mode_from_name(config.exchange));
+        DistributedDomain domain(domain_config, comm, partitioner);
         // The dynamics key: a forked sub-seed, so the Philox draws cannot
         // collide with the placement/gossip streams.
         const std::uint64_t dynamics_seed =

@@ -90,11 +90,10 @@ struct AppConfig {
   std::int64_t ranks = 1;
 
   /// Per-step exchange protocol of the distributed stepper, by
-  /// erosion::exchange_mode_from_name name: "neighbor" (default — halo
-  /// deltas travel only to the ranks the partition cut makes halo
-  /// neighbors, global counters via one reduction + broadcast) or
-  /// "alltoall" (the O(ranks²) reference). The trajectory is bit-identical
-  /// either way; only the message count differs.
+  /// erosion::exchange_mode_from_name name. "neighbor" is the only one:
+  /// halo deltas travel only to the ranks the partition cut makes halo
+  /// neighbors, global counters via one reduction + broadcast. validate()
+  /// rejects any other name.
   std::string exchange = "neighbor";
 
   void validate() const;
@@ -137,8 +136,8 @@ struct RunResult {
   double rank_migration_bytes = 0.0;
   double rank_observed_bytes = 0.0;
   /// Distributed stepping only: per-step exchange traffic summed over all
-  /// ranks and iterations (halo + reduction/broadcast legs) — the numbers
-  /// the "neighbor" and "alltoall" exchange modes are compared on.
+  /// ranks and iterations (halo + reduction/broadcast legs; see
+  /// DistributedDomain for the per-step message count).
   std::int64_t rank_step_messages = 0;
   double rank_step_bytes = 0.0;
   /// Distributed stepping only: the HemoCell-style fractional load

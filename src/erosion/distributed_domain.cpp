@@ -13,11 +13,11 @@ namespace {
 
 // Message channels of the distributed domain (user tags — non-negative, and
 // offset well clear of any ad-hoc tags application drivers might pick).
-constexpr int kTagStep = 100;          ///< per-step delta/frontier exchange
+constexpr int kTagStep = 100;          ///< per-step halo deltas
 constexpr int kTagGatherWeights = 101; ///< stripe → root weight gather
 constexpr int kTagMigrateColumns = 102;
 constexpr int kTagMigrateDisc = 103;
-constexpr int kTagStepReduce = 104;    ///< neighbor mode: eroded/frontier → 0
+constexpr int kTagStepReduce = 104;    ///< per-step eroded/frontier → 0
 
 /// Overlap [max(a0,b0), min(a1,b1)) of two half-open column intervals.
 std::pair<std::int64_t, std::int64_t> interval_overlap(std::int64_t a0,
@@ -30,29 +30,18 @@ std::pair<std::int64_t, std::int64_t> interval_overlap(std::int64_t a0,
 }  // namespace
 
 ExchangeMode exchange_mode_from_name(const std::string& name) {
-  if (name == "alltoall") return ExchangeMode::kAllToAll;
   if (name == "neighbor") return ExchangeMode::kNeighbor;
   throw std::invalid_argument("unknown exchange mode '" + name +
-                              "' (accepted: alltoall, neighbor)");
-}
-
-std::string exchange_mode_name(ExchangeMode mode) {
-  switch (mode) {
-    case ExchangeMode::kAllToAll:
-      return "alltoall";
-    case ExchangeMode::kNeighbor:
-      return "neighbor";
-  }
-  return "neighbor";
+                              "' (accepted: neighbor)");
 }
 
 DistributedDomain::DistributedDomain(
     DomainConfig config, runtime::Comm& comm,
-    std::shared_ptr<const lb::Partitioner> partitioner, ExchangeMode exchange)
+    std::shared_ptr<const lb::Partitioner> partitioner,
+    ExchangeMode /*exchange*/)
     : config_(std::move(config)),
       comm_(&comm),
-      partitioner_(std::move(partitioner)),
-      exchange_(exchange) {
+      partitioner_(std::move(partitioner)) {
   ULBA_REQUIRE(partitioner_ != nullptr, "distribution needs a partitioner");
   config_.validate();
   const int R = comm_->size();
@@ -99,7 +88,7 @@ std::vector<double> DistributedDomain::replay_initial_weights() {
 void DistributedDomain::recompute_neighbors() {
   send_neighbors_.clear();
   recv_neighbors_.clear();
-  if (exchange_ != ExchangeMode::kNeighbor || ranks() == 1) return;
+  if (ranks() == 1) return;
   const int R = ranks();
   const int r = rank();
   std::vector<std::uint8_t> send_to(static_cast<std::size_t>(R), 0);
@@ -200,140 +189,84 @@ std::int64_t DistributedDomain::finish_step(
     }
   }
 
-  // The replicated frontier metadata of my own discs updates locally in
-  // both exchange modes (peers learn it through their leg of the exchange).
+  // The replicated frontier metadata of my own discs updates locally (peers
+  // learn it through the reduction and broadcast below).
   for (std::size_t k = 0; k < local_disc_ids_.size(); ++k)
     frontier_sizes_[local_disc_ids_[k]] =
         static_cast<std::int64_t>(local_discs_[k].frontier.size());
 
+  // Phase 4a — halo deltas travel to neighbors ONLY: one (possibly empty)
+  // message per send-neighbor, so the matching blocking receives stay
+  // deterministic. Any delta column lies inside a local disc's bounding
+  // box, whose owners are exactly the send-neighbor set.
+  for (int s = 0; s < R; ++s)
+    ULBA_CHECK(halo[static_cast<std::size_t>(s)].empty() ||
+                   std::binary_search(send_neighbors_.begin(),
+                                      send_neighbors_.end(), s),
+               "halo delta addressed to a non-neighbor rank");
+  for (const int s : send_neighbors_) {
+    std::vector<std::int64_t> msg;
+    const auto& deltas = halo[static_cast<std::size_t>(s)];
+    msg.reserve(2 * deltas.size());
+    for (const auto& [x, count] : deltas) {
+      msg.push_back(x);
+      msg.push_back(count);
+    }
+    comm_->send_span<std::int64_t>(s, kTagStep, msg);
+    count_step_send(msg.size() * sizeof(std::int64_t));
+  }
+
+  // Phase 4b — reduction leg: my eroded total plus my discs' updated
+  // frontier sizes converge on rank 0.
+  if (r != 0) {
+    std::vector<std::int64_t> msg;
+    msg.reserve(1 + 2 * local_disc_ids_.size());
+    msg.push_back(my_eroded);
+    for (std::size_t k = 0; k < local_disc_ids_.size(); ++k) {
+      msg.push_back(static_cast<std::int64_t>(local_disc_ids_[k]));
+      msg.push_back(static_cast<std::int64_t>(local_discs_[k].frontier.size()));
+    }
+    comm_->send_span<std::int64_t>(0, kTagStepReduce, msg);
+    count_step_send(msg.size() * sizeof(std::int64_t));
+  }
+
+  // Phase 5a — drain the neighbor halo messages (ascending rank order;
+  // per-cell credits commute, so arrival order cannot perturb FP state).
+  for (const int s : recv_neighbors_) {
+    const auto msg = comm_->recv_vector<std::int64_t>(s, kTagStep);
+    ULBA_CHECK(msg.size() % 2 == 0, "malformed halo message");
+    for (std::size_t at = 0; at < msg.size(); at += 2)
+      credit_column(msg[at], msg[at + 1]);
+  }
+
+  // Phase 5b — rank 0 folds the eroded totals in rank order (exact integer
+  // sum), merges the frontier updates, and broadcasts the global count plus
+  // the complete frontier vector back out.
   std::int64_t global_eroded = my_eroded;
-  if (exchange_ == ExchangeMode::kAllToAll) {
-    // Phase 4 — one message per peer: my eroded total, the peer's halo
-    // deltas, and my discs' updated frontier sizes (the replicated
-    // frontier metadata).
-    for (int s = 0; s < R; ++s) {
-      if (s == r) continue;
-      std::vector<std::int64_t> msg;
-      const auto& deltas = halo[static_cast<std::size_t>(s)];
-      msg.reserve(3 + 2 * deltas.size() + 2 * local_disc_ids_.size());
-      msg.push_back(my_eroded);
-      msg.push_back(static_cast<std::int64_t>(deltas.size()));
-      for (const auto& [x, count] : deltas) {
-        msg.push_back(x);
-        msg.push_back(count);
+  std::vector<std::int64_t> bcast;
+  if (r == 0) {
+    for (int s = 1; s < R; ++s) {
+      const auto msg = comm_->recv_vector<std::int64_t>(s, kTagStepReduce);
+      ULBA_CHECK(msg.size() % 2 == 1, "malformed step-reduce message");
+      global_eroded += msg[0];
+      for (std::size_t at = 1; at < msg.size(); at += 2) {
+        const auto id = static_cast<std::size_t>(msg[at]);
+        ULBA_CHECK(id < frontier_sizes_.size(), "frontier update out of range");
+        frontier_sizes_[id] = msg[at + 1];
       }
-      msg.push_back(static_cast<std::int64_t>(local_disc_ids_.size()));
-      for (std::size_t k = 0; k < local_disc_ids_.size(); ++k) {
-        msg.push_back(static_cast<std::int64_t>(local_disc_ids_[k]));
-        msg.push_back(
-            static_cast<std::int64_t>(local_discs_[k].frontier.size()));
-      }
-      comm_->send_span<std::int64_t>(s, kTagStep, msg);
-      count_step_send(msg.size() * sizeof(std::int64_t));
     }
-
-    // Phase 5 — drain every peer's message (rank order; sends are
-    // non-blocking, so the all-to-all cannot deadlock).
-    for (int s = 0; s < R; ++s) {
-      if (s == r) continue;
-      const auto msg = comm_->recv_vector<std::int64_t>(s, kTagStep);
-      std::size_t at = 0;
-      const auto take = [&msg, &at]() -> std::int64_t {
-        ULBA_CHECK(at < msg.size(), "malformed step message (truncated)");
-        return msg[at++];
-      };
-      global_eroded += take();
-      const auto cols = static_cast<std::size_t>(take());
-      for (std::size_t c = 0; c < cols; ++c) {
-        const std::int64_t x = take();
-        const std::int64_t count = take();
-        credit_column(x, count);
-      }
-      const auto discs = static_cast<std::size_t>(take());
-      for (std::size_t k = 0; k < discs; ++k) {
-        const auto id = static_cast<std::size_t>(take());
-        ULBA_CHECK(id < frontier_sizes_.size(),
-                   "frontier update out of range");
-        frontier_sizes_[id] = take();
-      }
-      ULBA_CHECK(at == msg.size(), "malformed step message (trailing bytes)");
-    }
-  } else {
-    // Phase 4a — halo deltas travel to neighbors ONLY: one (possibly
-    // empty) message per send-neighbor, so the matching blocking receives
-    // stay deterministic. Any delta column lies inside a local disc's
-    // bounding box, whose owners are exactly the send-neighbor set.
-    for (int s = 0; s < R; ++s)
-      ULBA_CHECK(halo[static_cast<std::size_t>(s)].empty() ||
-                     std::binary_search(send_neighbors_.begin(),
-                                        send_neighbors_.end(), s),
-                 "halo delta addressed to a non-neighbor rank");
-    for (const int s : send_neighbors_) {
-      std::vector<std::int64_t> msg;
-      const auto& deltas = halo[static_cast<std::size_t>(s)];
-      msg.reserve(2 * deltas.size());
-      for (const auto& [x, count] : deltas) {
-        msg.push_back(x);
-        msg.push_back(count);
-      }
-      comm_->send_span<std::int64_t>(s, kTagStep, msg);
-      count_step_send(msg.size() * sizeof(std::int64_t));
-    }
-
-    // Phase 4b — reduction leg: my eroded total plus my discs' updated
-    // frontier sizes converge on rank 0.
-    if (r != 0) {
-      std::vector<std::int64_t> msg;
-      msg.reserve(1 + 2 * local_disc_ids_.size());
-      msg.push_back(my_eroded);
-      for (std::size_t k = 0; k < local_disc_ids_.size(); ++k) {
-        msg.push_back(static_cast<std::int64_t>(local_disc_ids_[k]));
-        msg.push_back(
-            static_cast<std::int64_t>(local_discs_[k].frontier.size()));
-      }
-      comm_->send_span<std::int64_t>(0, kTagStepReduce, msg);
-      count_step_send(msg.size() * sizeof(std::int64_t));
-    }
-
-    // Phase 5a — drain the neighbor halo messages (ascending rank order;
-    // per-cell credits commute, so arrival order cannot perturb FP state).
-    for (const int s : recv_neighbors_) {
-      const auto msg = comm_->recv_vector<std::int64_t>(s, kTagStep);
-      ULBA_CHECK(msg.size() % 2 == 0, "malformed halo message");
-      for (std::size_t at = 0; at < msg.size(); at += 2)
-        credit_column(msg[at], msg[at + 1]);
-    }
-
-    // Phase 5b — rank 0 folds the eroded totals in rank order (exact
-    // integer sum), merges the frontier updates, and broadcasts the global
-    // count plus the complete frontier vector back out.
-    std::vector<std::int64_t> bcast;
-    if (r == 0) {
-      for (int s = 1; s < R; ++s) {
-        const auto msg = comm_->recv_vector<std::int64_t>(s, kTagStepReduce);
-        ULBA_CHECK(msg.size() % 2 == 1, "malformed step-reduce message");
-        global_eroded += msg[0];
-        for (std::size_t at = 1; at < msg.size(); at += 2) {
-          const auto id = static_cast<std::size_t>(msg[at]);
-          ULBA_CHECK(id < frontier_sizes_.size(),
-                     "frontier update out of range");
-          frontier_sizes_[id] = msg[at + 1];
-        }
-      }
-      bcast.reserve(1 + frontier_sizes_.size());
-      bcast.push_back(global_eroded);
-      bcast.insert(bcast.end(), frontier_sizes_.begin(),
-                   frontier_sizes_.end());
-      for (int s = 1; s < R; ++s)
-        count_step_send(bcast.size() * sizeof(std::int64_t));
-    }
-    comm_->broadcast_vector(bcast, 0);
-    if (r != 0) {
-      ULBA_CHECK(bcast.size() == 1 + frontier_sizes_.size(),
-                 "malformed step broadcast");
-      global_eroded = bcast[0];
-      std::copy(bcast.begin() + 1, bcast.end(), frontier_sizes_.begin());
-    }
+    bcast.reserve(1 + frontier_sizes_.size());
+    bcast.push_back(global_eroded);
+    bcast.insert(bcast.end(), frontier_sizes_.begin(), frontier_sizes_.end());
+    for (int s = 1; s < R; ++s)
+      count_step_send(bcast.size() * sizeof(std::int64_t));
+  }
+  comm_->broadcast_vector(bcast, 0);
+  if (r != 0) {
+    ULBA_CHECK(bcast.size() == 1 + frontier_sizes_.size(),
+               "malformed step broadcast");
+    global_eroded = bcast[0];
+    std::copy(bcast.begin() + 1, bcast.end(), frontier_sizes_.begin());
   }
 
   // Phase 6 — replicated global accounting (one increment per eroded cell,

@@ -7,24 +7,27 @@
 // centers fall in that stripe. Everything that crosses a stripe boundary is
 // a real runtime::Mailbox message:
 //
-//   * per step, each rank sends its peers the (column, eroded-cell-count)
-//     deltas that land in the peer's stripe — the halo exchange a disc
-//     straddling a boundary requires — together with the updated frontier
-//     sizes of its own discs (the replicated frontier_size() observer) and
-//     its eroded-cell total;
+//   * per step, each rank sends its halo neighbors — the owners of any
+//     column a local disc's bounding box covers — the (column,
+//     eroded-cell-count) deltas that land in their stripes, one message per
+//     neighbor; its eroded total and the updated frontier sizes of its own
+//     discs (the replicated frontier_size() observer) converge on rank 0,
+//     which broadcasts the global count and the full frontier vector back.
+//     A step therefore sends Σ_r |halo_send_neighbors(r)| + 2·(R − 1)
+//     messages over R ranks;
 //   * per rebalance, the stripes are recut by the paper's greedy scan
 //     (lb::Partitioner) and both column weights and whole DiscStates change
 //     owner as serialized messages, with the analytic lb::migration_volume
 //     prediction validated against the columns that were actually exchanged.
 //
 // Determinism contract (locked by tests/test_distributed_erosion): for
-// EVERY (rank count, stripe cut, exchange mode, per-rank thread count) the
-// trajectory and the final domain report are BIT-identical to
-// ErosionDomain::step_counter on an undistributed copy. Two properties make
-// this hold by construction: every draw is addressed by (global disc id,
-// iteration, cell), so no RNG state exists to position or communicate; and
-// every eroded cell credits the same constant to its column, so halo
-// arrival order cannot perturb the floating-point weights.
+// EVERY (rank count, stripe cut, per-rank thread count) the trajectory and
+// the final domain report are BIT-identical to ErosionDomain::step_counter
+// on an undistributed copy. Two properties make this hold by construction:
+// every draw is addressed by (global disc id, iteration, cell), so no RNG
+// state exists to position or communicate; and every eroded cell credits
+// the same constant to its column, so halo arrival order cannot perturb the
+// floating-point weights.
 #pragma once
 
 #include <cstdint>
@@ -44,28 +47,16 @@
 
 namespace ulba::erosion {
 
-/// How the per-step exchange routes its traffic.
+/// The per-step exchange protocol: the neighbor exchange of the file
+/// header. It is the only one; the type and its parser remain because
+/// AppConfig::exchange and the bench/e2e trace replica still name them.
 enum class ExchangeMode {
-  /// One message per peer per step (R·(R−1) messages): every rank sends
-  /// every other rank its eroded total, halo deltas, and frontier metadata.
-  /// The historical PR-4 scheme, kept as the ablation reference.
-  kAllToAll,
-  /// Neighbor-aware (the default): halo deltas travel only to the ranks
-  /// whose stripes a local disc's bounding box overlaps — the neighbor set
-  /// recomputed from the partition cut at construction and after every
-  /// rebalance — while the global eroded count and the frontier metadata
-  /// propagate through one reduction at rank 0 plus one broadcast. Per-step
-  /// message count drops from R·(R−1) to 2·(R−1) + Σ|neighbors|; the
-  /// trajectory stays bit-identical (halo credits are per-cell and
-  /// order-independent, the eroded reduction folds exact integers in rank
-  /// order, frontier updates are plain assignments).
   kNeighbor,
 };
 
-/// Parse "alltoall" | "neighbor" (the AppConfig::exchange vocabulary); throws
+/// Parse "neighbor" (the AppConfig::exchange vocabulary); throws
 /// std::invalid_argument on anything else.
 [[nodiscard]] ExchangeMode exchange_mode_from_name(const std::string& name);
-[[nodiscard]] std::string exchange_mode_name(ExchangeMode mode);
 
 /// Outcome of one distributed rebalance (identical on every rank).
 struct DistributedReshardResult {
@@ -100,9 +91,10 @@ struct DistributedReport {
 
 class DistributedDomain {
  public:
-  /// Collective: every rank of `comm` constructs with the same `config`, an
-  /// equivalent `partitioner`, and the same `exchange` mode. The initial
-  /// stripes are cut against the initial column weights (even targets).
+  /// Collective: every rank of `comm` constructs with the same `config` and
+  /// an equivalent `partitioner`. The initial stripes are cut against the
+  /// initial column weights (even targets). The step exchange has one
+  /// protocol, so the `ExchangeMode` argument is not read.
   DistributedDomain(DomainConfig config, runtime::Comm& comm,
                     std::shared_ptr<const lb::Partitioner> partitioner,
                     ExchangeMode exchange = ExchangeMode::kNeighbor);
@@ -112,7 +104,7 @@ class DistributedDomain {
   /// id, iteration, cell) through support::CounterRng, so the per-step cost
   /// of a rank is O(its own frontier). Returns the GLOBAL eroded-cell count
   /// — the value ErosionDomain::step_counter on an undistributed copy
-  /// returns, for every (rank count, stripe cut, exchange mode, pool size).
+  /// returns, for every (rank count, stripe cut, pool size).
   std::int64_t step_counter(std::uint64_t seed, std::int64_t iteration,
                             support::ThreadPool* pool = nullptr);
 
@@ -142,14 +134,11 @@ class DistributedDomain {
   [[nodiscard]] const lb::StripeBoundaries& rank_boundaries() const noexcept {
     return boundaries_;
   }
-  [[nodiscard]] ExchangeMode exchange_mode() const noexcept {
-    return exchange_;
-  }
-  /// Neighbor mode only: ranks my halo deltas may target (ascending) — the
-  /// owners of any column a local disc's bounding box covers — and the
-  /// ranks whose discs overlap MY stripe (who therefore message me each
-  /// step). Both recomputed from the partition cut after every rebalance;
-  /// empty in all-to-all mode.
+  /// The ranks my halo deltas go to each step (ascending) — the owners of
+  /// any column a local disc's bounding box covers — and the ranks whose
+  /// discs overlap MY stripe (who therefore message me each step). Both
+  /// recomputed from the partition cut after every rebalance; empty at one
+  /// rank.
   [[nodiscard]] std::span<const int> halo_send_neighbors() const noexcept {
     return send_neighbors_;
   }
@@ -158,7 +147,7 @@ class DistributedDomain {
   }
   /// Messages/payload THIS rank put on the wire inside step() so far (halo
   /// deltas + reduction/broadcast legs; rebalance traffic excluded). Sum
-  /// over ranks for the per-step totals the exchange modes are compared on.
+  /// over ranks for the per-step totals of the file header's count.
   [[nodiscard]] std::uint64_t step_messages_sent() const noexcept {
     return step_messages_;
   }
@@ -241,10 +230,9 @@ class DistributedDomain {
   DomainConfig config_;
   runtime::Comm* comm_;
   std::shared_ptr<const lb::Partitioner> partitioner_;
-  ExchangeMode exchange_;
   lb::StripeBoundaries boundaries_;
-  std::vector<int> send_neighbors_;  ///< ascending, neighbor mode only
-  std::vector<int> recv_neighbors_;  ///< ascending, neighbor mode only
+  std::vector<int> send_neighbors_;  ///< ascending
+  std::vector<int> recv_neighbors_;  ///< ascending
   std::uint64_t step_messages_ = 0;
   std::uint64_t step_payload_bytes_ = 0;
 

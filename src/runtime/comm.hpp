@@ -2,9 +2,9 @@
 //
 // Provides the dozen routines most MPI programs need (cf. the LLNL MPI
 // tutorial): blocking point-to-point send/recv with tags and wildcards, a
-// barrier, and the collectives broadcast / gather / scatter / allgather /
-// reduce / allreduce. All collectives are deterministic: reductions fold in
-// rank order regardless of arrival order.
+// barrier, and the collectives broadcast / gather / allgather / reduce /
+// allreduce. All collectives are deterministic: reductions fold in rank
+// order regardless of arrival order.
 //
 // Typed helpers require trivially copyable payloads (data moves between
 // address spaces by value — CP.31). User tags must be non-negative; negative
@@ -145,57 +145,12 @@ class Comm {
     return all;
   }
 
-  /// Root distributes values[r] to rank r; returns this rank's element.
-  template <BitwisePortable T>
-  [[nodiscard]] T scatter(std::span<const T> values, int root) {
-    check_root(root);
-    if (rank_ == root) {
-      ULBA_REQUIRE(values.size() == static_cast<std::size_t>(size()),
-                   "scatter needs exactly one value per rank");
-      for (int r = 0; r < size(); ++r)
-        if (r != root)
-          send_internal(r, kTagScatter,
-                        as_bytes_of(values[static_cast<std::size_t>(r)]));
-      return values[static_cast<std::size_t>(root)];
-    }
-    const Message m = recv_internal(root, kTagScatter);
-    ULBA_REQUIRE(m.payload.size() == sizeof(T),
-                 "scatter payload size mismatch");
-    T value;
-    std::memcpy(&value, m.payload.data(), sizeof(T));
-    return value;
-  }
-
   /// Every rank receives one value per rank, in rank order.
   template <BitwisePortable T>
   [[nodiscard]] std::vector<T> allgather(const T& value) {
     std::vector<T> all = gather(value, 0);
     broadcast_vector(all, 0);
     return all;
-  }
-
-  /// Personalized all-to-all: rank r receives values[r] from every rank, in
-  /// rank order. `values` must hold one element per destination rank.
-  template <BitwisePortable T>
-  [[nodiscard]] std::vector<T> alltoall(std::span<const T> values) {
-    ULBA_REQUIRE(values.size() == static_cast<std::size_t>(size()),
-                 "alltoall needs exactly one value per rank");
-    for (int r = 0; r < size(); ++r)
-      if (r != rank_)
-        send_internal(r, kTagAlltoall,
-                      as_bytes_of(values[static_cast<std::size_t>(r)]));
-    std::vector<T> received(static_cast<std::size_t>(size()));
-    received[static_cast<std::size_t>(rank_)] =
-        values[static_cast<std::size_t>(rank_)];
-    for (int r = 0; r < size(); ++r) {
-      if (r == rank_) continue;
-      const Message m = recv_internal(r, kTagAlltoall);
-      ULBA_REQUIRE(m.payload.size() == sizeof(T),
-                   "alltoall payload size mismatch");
-      std::memcpy(&received[static_cast<std::size_t>(r)], m.payload.data(),
-                  sizeof(T));
-    }
-    return received;
   }
 
   /// Deterministic reduction in rank order; result only valid on root.
@@ -221,8 +176,6 @@ class Comm {
   // user point-to-point traffic.
   static constexpr int kTagBroadcast = -2;
   static constexpr int kTagGather = -3;
-  static constexpr int kTagScatter = -4;
-  static constexpr int kTagAlltoall = -5;
 
   template <BitwisePortable T>
   static std::span<const std::byte> as_bytes_of(const T& value) {

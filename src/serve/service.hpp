@@ -20,7 +20,7 @@
 
 namespace ulba::serve {
 
-// Service channel tags (≥ 900; the distributed instance sweep uses 910).
+// Service channel tags (≥ 900).
 inline constexpr int kTagScheduleRequest = 900;
 inline constexpr int kTagScheduleResponse = 901;
 inline constexpr int kTagClientDone = 902;

@@ -225,10 +225,19 @@ TEST(Cli, ErosionDispatchesOnTinyDomain) {
   EXPECT_NE(out.str().find("LB calls"), std::string::npos);
 }
 
-TEST(Cli, ErosionRejectsOutOfDomainAlpha) {
+TEST(Cli, ErosionRejectsOutOfDomainFlags) {
   std::ostringstream out;
   EXPECT_THROW(run({"erosion", "--alpha", "1.5"}, out),
                std::invalid_argument);
+  // Two PEs leave no room for the gossip fanout of 2; the usage error names
+  // the flag the user set, not the config field behind it.
+  try {
+    (void)run({"erosion", "--pes", "2"}, out);
+    ADD_FAILURE() << "--pes 2 must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--pes"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -172,6 +172,19 @@ TEST(CliScenarios, InstancesRejectsBadFlags) {
   EXPECT_THROW(run({"instances", "--seed", "-1"}, out),
                std::invalid_argument);
   EXPECT_THROW(run({"instances", "--samples"}, out), std::invalid_argument);
+  // The sweep runs serially only: the flags of the retired served sweep are
+  // unknown, each rejected by name.
+  for (const std::string flag :
+       {"ranks", "serve-batch", "cache-capacity", "cache-shards"}) {
+    try {
+      (void)run({"instances", "--samples", "1", "--" + flag, "2"}, out);
+      ADD_FAILURE() << "--" << flag << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown flag --" + flag),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(CliScenarios, ThreadsFlagIsValidated) {

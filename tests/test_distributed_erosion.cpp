@@ -1,13 +1,14 @@
 // Partition-invariance property suite for erosion::DistributedDomain.
 //
-// The load-bearing claim: for EVERY (rank count, stripe cut, exchange mode,
-// per-rank thread count), stepping the domain distributed over the SPMD
-// runtime is BIT-identical to ErosionDomain::step_counter on one process —
+// The load-bearing claim: for EVERY (rank count, stripe cut, per-rank thread
+// count), stepping the domain distributed over the SPMD runtime is
+// BIT-identical to ErosionDomain::step_counter on one process —
 // the same global counters and the same per-column FLOP accounting (exact
 // FP equality) — and this survives mid-run rebalances that migrate disc
 // ownership and column weights as real runtime::Mailbox messages, including
 // recuts against a random profile that put the greedy scan's stripes where
-// the real weights never would. On top of that, the analytic
+// the real weights never would. On top of that, each step must send exactly
+// the neighbor exchange's message count, and the analytic
 // lb::migration_volume prediction must match the bytes the rebalance
 // actually exchanged.
 #include "erosion/distributed_domain.hpp"
@@ -23,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/sweep.hpp"
 #include "erosion/app.hpp"
 #include "erosion/domain.hpp"
 #include "lb/partitioners.hpp"
@@ -162,7 +164,7 @@ TEST(DistributedErosion, CoverIsCompleteAndDisjointAcrossRanks) {
 }
 
 /// One serial trajectory must be reproduced bit for bit by every (rank
-/// count, exchange mode, per-rank pool) combination, across mid-run
+/// count, per-rank pool) combination, across mid-run
 /// rebalances that migrate disc ownership as real messages: one recut
 /// against the real weights, then one against a random profile
 /// (rebalance(span) cuts against the vector it is given but migrates the
@@ -178,29 +180,24 @@ TEST(DistributedErosion, BitIdenticalToSerialForEveryRankExchangePool) {
     const std::vector<double> skew = random_skew(cfg.columns, seed);
 
     for (const int ranks : {1, 2, 4, 8}) {
-      for (const ExchangeMode mode :
-           {ExchangeMode::kAllToAll, ExchangeMode::kNeighbor}) {
-        for (const std::size_t threads : {1u, 2u}) {
-          runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
-            DistributedDomain domain(cfg, comm, greedy(), mode);
-            std::optional<support::ThreadPool> pool;
-            if (threads > 1) pool.emplace(threads);
-            std::int64_t eroded_total = 0;
-            for (int s = 0; s < kSteps; ++s) {
-              eroded_total +=
-                  domain.step_counter(seed, s, pool ? &*pool : nullptr);
-              if (s == kSteps / 2) (void)domain.rebalance();
-              if (s == 3 * kSteps / 4) (void)domain.rebalance(skew);
-            }
-            EXPECT_EQ(eroded_total, ref.eroded);
-            expect_matches_reference(
-                ref, domain,
-                "trial " + std::to_string(trial) + ", ranks " +
-                    std::to_string(ranks) + ", exchange " +
-                    exchange_mode_name(mode) + ", threads " +
-                    std::to_string(threads));
-          });
-        }
+      for (const std::size_t threads : {1u, 2u}) {
+        runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
+          DistributedDomain domain(cfg, comm, greedy());
+          std::optional<support::ThreadPool> pool;
+          if (threads > 1) pool.emplace(threads);
+          std::int64_t eroded_total = 0;
+          for (int s = 0; s < kSteps; ++s) {
+            eroded_total +=
+                domain.step_counter(seed, s, pool ? &*pool : nullptr);
+            if (s == kSteps / 2) (void)domain.rebalance();
+            if (s == 3 * kSteps / 4) (void)domain.rebalance(skew);
+          }
+          EXPECT_EQ(eroded_total, ref.eroded);
+          std::string what = "trial " + std::to_string(trial);
+          what += ", ranks " + std::to_string(ranks);
+          what += ", threads " + std::to_string(threads);
+          expect_matches_reference(ref, domain, what);
+        });
       }
     }
   }
@@ -235,43 +232,11 @@ TEST(DistributedErosion, MidRunMigrationKeepsTrajectoryAndCover) {
   }
 }
 
-/// Both wire protocols must produce the SAME domain — bit-equal weights and
-/// counters — including across mid-run rebalances that reshape the neighbor
-/// sets, one of them against a random profile.
-TEST(DistributedErosion, StepExchangeModesAreBitIdenticalAcrossModes) {
-  constexpr int kSteps = 18;
-  support::Rng config_rng(808);
-  for (int trial = 0; trial < 2; ++trial) {
-    const DomainConfig cfg = testing::random_domain_config(config_rng);
-    const std::uint64_t seed = 700 + static_cast<std::uint64_t>(trial);
-    const SerialReference ref = serial_reference(cfg, seed, kSteps);
-    const std::vector<double> skew = random_skew(cfg.columns, seed);
-    for (const int ranks : {2, 4, 8}) {
-      if (ranks > cfg.columns) continue;
-      for (const ExchangeMode mode :
-           {ExchangeMode::kAllToAll, ExchangeMode::kNeighbor}) {
-        runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
-          DistributedDomain domain(cfg, comm, greedy(), mode);
-          for (int s = 0; s < kSteps; ++s) {
-            (void)domain.step_counter(seed, s);
-            if (s == kSteps / 2) (void)domain.rebalance();
-            if (s == 3 * kSteps / 4) (void)domain.rebalance(skew);
-          }
-          expect_matches_reference(ref, domain,
-                                   "exchange " + exchange_mode_name(mode) +
-                                       ", ranks " + std::to_string(ranks));
-        });
-      }
-    }
-  }
-}
-
-/// The headline property of the neighbor-aware exchange: on the app-shaped
-/// domain (localized discs, one per initial stripe) it sends strictly fewer
-/// per-step messages — and fewer payload bytes — than the all-to-all
-/// reference for every R ≥ 4, while the runtime-layer traffic counters
-/// confirm the domain's own accounting message for message.
-TEST(DistributedErosion, NeighborExchangeSendsStrictlyFewerStepMessages) {
+/// Each step sends one halo message per send-neighbor plus the reduction
+/// and broadcast legs — Σ_r |halo_send_neighbors(r)| + 2·(R − 1) messages —
+/// and the runtime-layer traffic counters confirm the domain's own
+/// accounting message for message and byte for byte.
+TEST(DistributedErosion, StepSendsExactlyTheNeighborExchangeMessages) {
   // The golden-config geometry: 16 discs of radius 16 on 48-column stripes.
   DomainConfig cfg;
   cfg.columns = 16 * 48;
@@ -281,53 +246,44 @@ TEST(DistributedErosion, NeighborExchangeSendsStrictlyFewerStepMessages) {
   cfg.validate();
   constexpr int kSteps = 10;
 
-  for (const int ranks : {4, 8}) {
-    std::uint64_t msgs[2] = {0, 0};
-    std::uint64_t bytes[2] = {0, 0};
-    for (const ExchangeMode mode :
-         {ExchangeMode::kAllToAll, ExchangeMode::kNeighbor}) {
-      const auto m = static_cast<std::size_t>(mode == ExchangeMode::kNeighbor);
-      runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
-        DistributedDomain domain(cfg, comm, greedy(), mode);
-        // The traffic counters are world-global, so each snapshot sits in a
-        // barrier-bracketed quiescent window (a lone barrier is not enough:
-        // released ranks race ahead into their next sends).
-        comm.barrier();
-        const runtime::TrafficCounters before = comm.traffic();
-        comm.barrier();
-        for (int s = 0; s < kSteps; ++s) (void)domain.step_counter(4, s);
-        comm.barrier();
-        const runtime::TrafficCounters after = comm.traffic();
-        comm.barrier();
-        const auto my_msgs =
-            static_cast<std::int64_t>(domain.step_messages_sent());
-        const auto my_bytes =
-            static_cast<std::int64_t>(domain.step_payload_bytes_sent());
-        const std::int64_t total_msgs = comm.allreduce(my_msgs);
-        const std::int64_t total_bytes = comm.allreduce(my_bytes);
-        if (comm.rank() == 0) {
-          msgs[m] = static_cast<std::uint64_t>(total_msgs);
-          bytes[m] = static_cast<std::uint64_t>(total_bytes);
-          // The pure step loop sends nothing but the exchange itself, so the
-          // runtime counters must agree exactly with the domain's accounting
-          // (minus the allreduce/barrier bracket, which runs after `after`
-          // was snapshotted).
-          EXPECT_EQ(after.messages - before.messages,
-                    static_cast<std::uint64_t>(total_msgs))
-              << "ranks " << ranks << ", " << exchange_mode_name(mode);
-          EXPECT_EQ(after.payload_bytes - before.payload_bytes,
-                    static_cast<std::uint64_t>(total_bytes))
-              << "ranks " << ranks << ", " << exchange_mode_name(mode);
-        }
-      });
-    }
-    EXPECT_LT(msgs[1], msgs[0])
-        << "ranks " << ranks
-        << " — neighbor mode must send strictly fewer step messages";
-    EXPECT_LT(bytes[1], bytes[0]) << "ranks " << ranks;
-    // All-to-all is exactly R·(R−1) messages per step, by construction.
-    EXPECT_EQ(msgs[0], static_cast<std::uint64_t>(ranks) *
-                           static_cast<std::uint64_t>(ranks - 1) * kSteps);
+  for (const int ranks : {2, 4, 8}) {
+    runtime::spmd_run(ranks, [&](runtime::Comm& comm) {
+      DistributedDomain domain(cfg, comm, greedy());
+      // The traffic counters are world-global, so each snapshot sits in a
+      // barrier-bracketed quiescent window (a lone barrier is not enough:
+      // released ranks race ahead into their next sends).
+      comm.barrier();
+      const runtime::TrafficCounters before = comm.traffic();
+      comm.barrier();
+      for (int s = 0; s < kSteps; ++s) (void)domain.step_counter(4, s);
+      comm.barrier();
+      const runtime::TrafficCounters after = comm.traffic();
+      comm.barrier();
+      const auto my_msgs =
+          static_cast<std::int64_t>(domain.step_messages_sent());
+      const auto my_bytes =
+          static_cast<std::int64_t>(domain.step_payload_bytes_sent());
+      const auto my_neighbors =
+          static_cast<std::int64_t>(domain.halo_send_neighbors().size());
+      const std::int64_t total_msgs = comm.allreduce(my_msgs);
+      const std::int64_t total_bytes = comm.allreduce(my_bytes);
+      const std::int64_t neighbor_pairs = comm.allreduce(my_neighbors);
+      if (comm.rank() != 0) return;
+      const std::string what = "ranks " + std::to_string(ranks);
+      // No rebalance runs, so the neighbor sets hold for every step.
+      EXPECT_EQ(total_msgs, kSteps * (neighbor_pairs + 2 * (ranks - 1)))
+          << what;
+      // The pure step loop sends nothing but the exchange itself, so the
+      // runtime counters must agree exactly with the domain's accounting
+      // (minus the allreduce/barrier bracket, which runs after `after` was
+      // snapshotted).
+      EXPECT_EQ(after.messages - before.messages,
+                static_cast<std::uint64_t>(total_msgs))
+          << what;
+      EXPECT_EQ(after.payload_bytes - before.payload_bytes,
+                static_cast<std::uint64_t>(total_bytes))
+          << what;
+    });
   }
 }
 
@@ -551,70 +507,81 @@ TEST(DistributedErosion, DiscHandOffRoundTripsBitExactly) {
 /// (LbController) over the distributed domain, so the whole RunResult —
 /// times, LB schedule, recorded thresholds — must be BIT-identical to the
 /// serial in-process run for every variant; only the rank-migration
-/// accounting is additional.
+/// accounting is additional. Checked on a small domain and on the scaled
+/// Figure-4 configuration the sweeps run (32 PEs, 120 iterations).
 TEST(DistributedErosion, AppRunResultBitIdenticalToSerial) {
-  erosion::AppConfig cfg;
-  cfg.pe_count = 16;
-  cfg.columns_per_pe = 48;
-  cfg.rows = 64;
-  cfg.rock_radius = 16;
-  cfg.iterations = 60;
-  cfg.seed = 3;
-  cfg.method = Method::kUlba;
-  cfg.bytes_per_cell = 256.0;
-  cfg.comm.latency_s = 1e-4;
-  cfg.comm.bandwidth_Bps = 2e9;
-
-  const RunResult serial = ErosionApp(cfg).run();
-  ASSERT_GE(serial.lb_count, 1)
-      << "the reference run must exercise at least one mid-run LB step";
-  EXPECT_EQ(serial.rank_discs_moved, 0)
-      << "the serial run reports no distributed accounting";
+  erosion::AppConfig small;
+  small.pe_count = 16;
+  small.columns_per_pe = 48;
+  small.rows = 64;
+  small.rock_radius = 16;
+  small.iterations = 60;
+  small.seed = 3;
+  small.method = Method::kUlba;
+  small.bytes_per_cell = 256.0;
+  small.comm.latency_s = 1e-4;
+  small.comm.bandwidth_Bps = 2e9;
+  erosion::AppConfig scaled = cli::scaled_app_config(32, 1, Method::kUlba, 11);
+  scaled.iterations = 120;
 
   struct Variant {
     std::int64_t threads;
     std::int64_t ranks;
   };
-  for (const Variant v :
-       {Variant{4, 1}, Variant{1, 2}, Variant{2, 4}, Variant{1, 8}}) {
-    AppConfig variant_cfg = cfg;
-    variant_cfg.threads = v.threads;
-    variant_cfg.ranks = v.ranks;
-    const RunResult got = ErosionApp(variant_cfg).run();
-    const std::string what = "threads " + std::to_string(v.threads) +
-                             ", ranks " + std::to_string(v.ranks);
+  struct Case {
+    std::string name;
+    AppConfig cfg;
+    std::vector<Variant> variants;
+  };
+  const Case small_case{"small", small, {{4, 1}, {1, 2}, {2, 4}, {1, 8}}};
+  const Case scaled_case{"scaled", scaled, {{1, 2}, {1, 4}, {1, 8}}};
+  for (const Case& c : {small_case, scaled_case}) {
+    const RunResult serial = ErosionApp(c.cfg).run();
+    ASSERT_GE(serial.lb_count, 1)
+        << c.name << ": the reference run must exercise a mid-run LB step";
+    EXPECT_EQ(serial.rank_discs_moved, 0)
+        << c.name << ": the serial run reports no distributed accounting";
 
-    EXPECT_EQ(serial.total_seconds, got.total_seconds) << what;
-    EXPECT_EQ(serial.compute_seconds, got.compute_seconds) << what;
-    EXPECT_EQ(serial.lb_seconds, got.lb_seconds) << what;
-    EXPECT_EQ(serial.lb_count, got.lb_count) << what;
-    EXPECT_EQ(serial.fallback_count, got.fallback_count) << what;
-    EXPECT_EQ(serial.average_utilization, got.average_utilization) << what;
-    EXPECT_EQ(serial.eroded_cells, got.eroded_cells) << what;
-    EXPECT_EQ(serial.final_imbalance, got.final_imbalance) << what;
-    EXPECT_EQ(serial.lb_iterations, got.lb_iterations) << what;
-    ASSERT_EQ(serial.iterations.size(), got.iterations.size()) << what;
-    for (std::size_t i = 0; i < serial.iterations.size(); ++i) {
-      EXPECT_EQ(serial.iterations[i].seconds, got.iterations[i].seconds)
-          << what << " — iteration " << i;
-      EXPECT_EQ(serial.iterations[i].utilization,
-                got.iterations[i].utilization)
-          << what << " — iteration " << i;
-      EXPECT_EQ(serial.iterations[i].degradation,
-                got.iterations[i].degradation)
-          << what << " — iteration " << i;
-      EXPECT_EQ(serial.iterations[i].threshold, got.iterations[i].threshold)
-          << what << " — iteration " << i;
-      EXPECT_EQ(serial.iterations[i].lb_performed,
-                got.iterations[i].lb_performed)
-          << what << " — iteration " << i;
-    }
-    if (v.ranks > 1) {
-      // The distributed accounting is additional: the distributed run
-      // recut its stripes at every LB step.
-      EXPECT_GE(got.rank_migration_bytes, 0.0) << what;
-      EXPECT_GT(got.rank_observed_bytes, 0.0)
-          << what << " — an LB step fired, so migrations crossed the wire";
+    for (const Variant v : c.variants) {
+      AppConfig variant_cfg = c.cfg;
+      variant_cfg.threads = v.threads;
+      variant_cfg.ranks = v.ranks;
+      const RunResult got = ErosionApp(variant_cfg).run();
+      std::string what = c.name + ", threads " + std::to_string(v.threads);
+      what += ", ranks " + std::to_string(v.ranks);
+
+      EXPECT_EQ(serial.total_seconds, got.total_seconds) << what;
+      EXPECT_EQ(serial.compute_seconds, got.compute_seconds) << what;
+      EXPECT_EQ(serial.lb_seconds, got.lb_seconds) << what;
+      EXPECT_EQ(serial.lb_count, got.lb_count) << what;
+      EXPECT_EQ(serial.fallback_count, got.fallback_count) << what;
+      EXPECT_EQ(serial.average_utilization, got.average_utilization) << what;
+      EXPECT_EQ(serial.eroded_cells, got.eroded_cells) << what;
+      EXPECT_EQ(serial.final_imbalance, got.final_imbalance) << what;
+      EXPECT_EQ(serial.lb_iterations, got.lb_iterations) << what;
+      ASSERT_EQ(serial.iterations.size(), got.iterations.size()) << what;
+      for (std::size_t i = 0; i < serial.iterations.size(); ++i) {
+        EXPECT_EQ(serial.iterations[i].seconds, got.iterations[i].seconds)
+            << what << " — iteration " << i;
+        EXPECT_EQ(serial.iterations[i].utilization,
+                  got.iterations[i].utilization)
+            << what << " — iteration " << i;
+        EXPECT_EQ(serial.iterations[i].degradation,
+                  got.iterations[i].degradation)
+            << what << " — iteration " << i;
+        EXPECT_EQ(serial.iterations[i].threshold, got.iterations[i].threshold)
+            << what << " — iteration " << i;
+        EXPECT_EQ(serial.iterations[i].lb_performed,
+                  got.iterations[i].lb_performed)
+            << what << " — iteration " << i;
+      }
+      if (v.ranks > 1) {
+        // The distributed accounting is additional: the distributed run
+        // recut its stripes at every LB step.
+        EXPECT_GE(got.rank_migration_bytes, 0.0) << what;
+        EXPECT_GT(got.rank_observed_bytes, 0.0)
+            << what << " — an LB step fired, so migrations crossed the wire";
+      }
     }
   }
 }
@@ -650,55 +617,6 @@ TEST(DistributedErosion, AppRankFractionalImbalanceIsThreadInvariant) {
   }
 }
 
-/// App level: the two exchange modes must yield the same RunResult bit for
-/// bit (only the step-traffic accounting may differ), and the neighbor mode
-/// must be the cheaper one.
-TEST(DistributedErosion, AppExchangeModesBitIdenticalNeighborCheaper) {
-  erosion::AppConfig cfg;
-  cfg.pe_count = 16;
-  cfg.columns_per_pe = 48;
-  cfg.rows = 64;
-  cfg.rock_radius = 16;
-  cfg.iterations = 40;
-  cfg.seed = 3;
-  cfg.method = Method::kUlba;
-  cfg.bytes_per_cell = 256.0;
-  cfg.comm.latency_s = 1e-4;
-  cfg.comm.bandwidth_Bps = 2e9;
-
-  for (const std::int64_t ranks : {4, 8}) {
-    AppConfig a2a_cfg = cfg;
-    a2a_cfg.ranks = ranks;
-    a2a_cfg.exchange = "alltoall";
-    AppConfig nbr_cfg = a2a_cfg;
-    nbr_cfg.exchange = "neighbor";
-    const RunResult a2a = ErosionApp(a2a_cfg).run();
-    const RunResult nbr = ErosionApp(nbr_cfg).run();
-    const std::string what = "ranks " + std::to_string(ranks);
-
-    EXPECT_EQ(a2a.total_seconds, nbr.total_seconds) << what;
-    EXPECT_EQ(a2a.compute_seconds, nbr.compute_seconds) << what;
-    EXPECT_EQ(a2a.lb_seconds, nbr.lb_seconds) << what;
-    EXPECT_EQ(a2a.lb_count, nbr.lb_count) << what;
-    EXPECT_EQ(a2a.eroded_cells, nbr.eroded_cells) << what;
-    EXPECT_EQ(a2a.final_imbalance, nbr.final_imbalance) << what;
-    EXPECT_EQ(a2a.lb_iterations, nbr.lb_iterations) << what;
-    EXPECT_EQ(a2a.rank_discs_moved, nbr.rank_discs_moved) << what;
-    EXPECT_EQ(a2a.rank_migration_bytes, nbr.rank_migration_bytes) << what;
-    EXPECT_EQ(a2a.rank_observed_bytes, nbr.rank_observed_bytes) << what;
-    ASSERT_EQ(a2a.iterations.size(), nbr.iterations.size()) << what;
-    for (std::size_t i = 0; i < a2a.iterations.size(); ++i) {
-      EXPECT_EQ(a2a.iterations[i].seconds, nbr.iterations[i].seconds)
-          << what << " — iteration " << i;
-      EXPECT_EQ(a2a.iterations[i].degradation, nbr.iterations[i].degradation)
-          << what << " — iteration " << i;
-    }
-    EXPECT_GT(a2a.rank_step_messages, 0) << what;
-    EXPECT_LT(nbr.rank_step_messages, a2a.rank_step_messages) << what;
-    EXPECT_LT(nbr.rank_step_bytes, a2a.rank_step_bytes) << what;
-  }
-}
-
 TEST(DistributedErosion, AppConfigRejectsOutOfRangeRanks) {
   erosion::AppConfig cfg;
   cfg.ranks = cfg.pe_count + 1;
@@ -712,16 +630,14 @@ TEST(DistributedErosion, AppConfigValidatesExchange) {
   cfg.ranks = 2;
   cfg.exchange = "broadcast-tree";
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // The neighbor exchange is the only protocol.
   cfg.exchange = "alltoall";
-  cfg.validate();
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.exchange = "neighbor";
   cfg.validate();
   EXPECT_THROW((void)exchange_mode_from_name("hypercube"),
                std::invalid_argument);
-  EXPECT_EQ(exchange_mode_name(exchange_mode_from_name("neighbor")),
-            "neighbor");
-  EXPECT_EQ(exchange_mode_name(exchange_mode_from_name("alltoall")),
-            "alltoall");
+  EXPECT_EQ(exchange_mode_from_name("neighbor"), ExchangeMode::kNeighbor);
 }
 
 TEST(DistributedErosion, RejectsDegenerateConfigurations) {

@@ -1,25 +1,23 @@
 // The schedule service's contract suite: ScheduleRequest/ScheduleResponse
-// codec round-trips, the memo cache's bit-identity and eviction bounds, the
-// serve_loop under real multi-client SPMD traffic, and the served Table-II
-// instance sweep against its serial reference.
+// codec round-trips, the memo cache's bit-identity and eviction bounds, and
+// the serve_loop under real multi-client SPMD traffic.
 //
 // The load-bearing claim everywhere: a cached ScheduleResponse is
 // BIT-identical (provenance masked) to a cold evaluation of the same
-// request — same bytes, not "close enough" — and the served sweep's
-// FamilyStats equal the serial sweep's field for field.
+// request — same bytes, not "close enough".
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "cli/serve_driver.hpp"
-#include "cli/sweep.hpp"
 #include "core/instance.hpp"
 #include "core/schedule_query.hpp"
 #include "opt/evaluate.hpp"
@@ -108,12 +106,47 @@ TEST(ScheduleQueryCodec, RejectsMalformedPayloads) {
   bytes.push_back(std::byte{0});
   EXPECT_THROW((void)core::deserialize_request(bytes), std::invalid_argument);
 
-  const std::vector<std::byte> response_bytes = core::serialize_response(
-      opt::evaluate_schedule_request(request));
+  const core::ScheduleResponse response =
+      opt::evaluate_schedule_request(request);
+  const std::vector<std::byte> response_bytes =
+      core::serialize_response(response);
   const std::vector<std::byte> head(
       response_bytes.begin(),
       response_bytes.begin() + static_cast<long>(response_bytes.size() / 2));
   EXPECT_THROW((void)core::deserialize_response(head), std::invalid_argument);
+
+  // A count whose byte size wraps past 2^64 to a small number must still be
+  // rejected as truncation, never reach the vector constructor. The request
+  // ends with the alpha-grid count and its values; the response's
+  // schedule-steps count follows nine 8-byte scalars (the last one the grid
+  // count) and 24 bytes per grid point.
+  const std::vector<std::byte> request_bytes = core::serialize_request(request);
+  const std::size_t grid_count_at =
+      request_bytes.size() - (request.alpha_grid.size() + 1) * sizeof(double);
+  const std::size_t steps_count_at =
+      9 * sizeof(std::int64_t) + 24 * response.grid.size();
+  const auto with_count = [](std::vector<std::byte> payload, std::size_t at,
+                             std::int64_t count) {
+    std::memcpy(payload.data() + at, &count, sizeof(count));
+    return payload;
+  };
+  // The offsets point at the counts: writing the true count changes nothing.
+  const auto grid = static_cast<std::int64_t>(request.alpha_grid.size());
+  const auto steps = static_cast<std::int64_t>(response.schedule_steps.size());
+  ASSERT_EQ(with_count(request_bytes, grid_count_at, grid), request_bytes);
+  ASSERT_EQ(with_count(response_bytes, steps_count_at, steps), response_bytes);
+  // 8 · (2^61 + 1) and 8 · (2^62 + 1) both wrap to 8.
+  const std::int64_t wraps_once = (std::int64_t{1} << 61) + 1;
+  const std::int64_t wraps_twice = (std::int64_t{1} << 62) + 1;
+  for (const std::int64_t count : {wraps_once, wraps_twice}) {
+    EXPECT_THROW((void)core::deserialize_request(
+                     with_count(request_bytes, grid_count_at, count)),
+                 std::invalid_argument)
+        << "alpha-grid count " << count;
+  }
+  EXPECT_THROW((void)core::deserialize_response(
+                   with_count(response_bytes, steps_count_at, wraps_once)),
+               std::invalid_argument);
 }
 
 TEST(ScheduleQueryCodec, RequestValidation) {
@@ -281,40 +314,6 @@ TEST(ServeLoop, CleanShutdownWithoutQueries) {
     serve::ScheduleClient client(comm, 0);
     client.finish();
   });
-}
-
-TEST(ServedSweep, EqualsSerialSweep) {
-  const std::vector<std::int64_t> pin_ps{256, 512};
-  constexpr std::int64_t kSamples = 9;
-  constexpr std::uint64_t kSeed = 20190916;
-  constexpr std::int64_t kGrid = 8;
-  std::vector<cli::FamilyStats> serial;
-  serial.reserve(pin_ps.size());
-  for (const std::int64_t p : pin_ps)
-    serial.push_back(cli::instance_family_stats(p, kSamples, kSeed, kGrid));
-  const cli::ServedSweepResult served = cli::instance_sweep_served(
-      pin_ps, kSamples, kSeed, kGrid, /*ranks=*/3, serve::ServeOptions{});
-  ASSERT_EQ(served.families.size(), serial.size());
-  for (std::size_t f = 0; f < serial.size(); ++f) {
-    const cli::FamilyStats& a = served.families[f];
-    const cli::FamilyStats& b = serial[f];
-    EXPECT_EQ(a.pin_p, b.pin_p);
-    EXPECT_EQ(a.samples, b.samples);
-    EXPECT_EQ(a.wins, b.wins);
-    EXPECT_EQ(a.losses, b.losses);
-    EXPECT_EQ(a.ties, b.ties);
-    // Exact FP equality: the served path evaluates the same requests with
-    // the same arithmetic, only transported through the mailbox.
-    EXPECT_EQ(a.median_gain, b.median_gain);
-    EXPECT_EQ(a.mean_gain, b.mean_gain);
-    EXPECT_EQ(a.min_gain, b.min_gain);
-    EXPECT_EQ(a.max_gain, b.max_gain);
-    EXPECT_EQ(a.median_best_gain, b.median_best_gain);
-    EXPECT_EQ(a.mean_best_alpha, b.mean_best_alpha);
-  }
-  EXPECT_EQ(served.metrics.requests,
-            static_cast<std::int64_t>(pin_ps.size()) * kSamples);
-  EXPECT_EQ(served.metrics.clients_finished, 2);
 }
 
 }  // namespace

@@ -210,6 +210,10 @@ class CliContract(unittest.TestCase):
         proc = self.run_lint(os.path.join(REPO, "src"))
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
         self.assertIn("0 blocking", proc.stdout)
+        # A stale entry would silently exempt any later line reusing its
+        # text, so every checked-in entry must still match a finding.
+        self.assertNotIn("baseline entry no longer matches anything",
+                         proc.stdout)
 
 
 class BackendDegradation(unittest.TestCase):
