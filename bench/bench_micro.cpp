@@ -1,7 +1,7 @@
 // Microbenchmarks of the hot primitives (google-benchmark).
 //
 // These are engineering benchmarks, not paper artifacts: they document the
-// cost of the building blocks the experiment harness leans on (closed-form
+// cost of the building blocks the claims suite leans on (closed-form
 // schedule evaluation, σ⁺ computation, stripe partitioning, gossip rounds,
 // annealing steps, DP optimization, erosion steps).
 #include <benchmark/benchmark.h>

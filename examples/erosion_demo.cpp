@@ -10,30 +10,11 @@
 #include <cstdlib>
 #include <vector>
 
+#include "cli/sweep.hpp"
 #include "erosion/app.hpp"
 #include "support/text_plot.hpp"
 
 namespace {
-
-ulba::erosion::AppConfig demo_config(std::int64_t pe_count,
-                                     std::int64_t strong,
-                                     std::uint64_t seed,
-                                     ulba::erosion::Method method) {
-  ulba::erosion::AppConfig c;
-  c.pe_count = pe_count;
-  c.columns_per_pe = 256;
-  c.rows = 384;
-  c.rock_radius = 96;
-  c.strong_rock_count = strong;
-  c.iterations = 180;
-  c.method = method;
-  c.alpha = 0.4;
-  c.seed = seed;
-  c.bytes_per_cell = 256.0;
-  c.comm.latency_s = 1e-4;
-  c.comm.bandwidth_Bps = 2e9;
-  return c;
-}
 
 void report(const char* name, const ulba::erosion::RunResult& r) {
   std::printf("%s\n", name);
@@ -68,16 +49,21 @@ int main(int argc, char** argv) {
               static_cast<long long>(pe_count), static_cast<long long>(strong),
               static_cast<long long>(pe_count),
               static_cast<unsigned long long>(seed));
-  std::printf("(domain %lldx%lld cells, rock radius %d, alpha = 0.4)\n\n",
-              static_cast<long long>(pe_count * 256), 384LL, 96);
+  // The scaled Figure-4 configuration the claims suite and `ulba_cli
+  // erosion` share.
+  AppConfig cfg = ulba::cli::scaled_app_config(pe_count, strong,
+                                               Method::kStandard, seed);
+  std::printf("(domain %lldx%lld cells, rock radius %lld, alpha = %g)\n\n",
+              static_cast<long long>(cfg.columns()),
+              static_cast<long long>(cfg.rows),
+              static_cast<long long>(cfg.rock_radius), cfg.alpha);
 
-  const RunResult std_run =
-      ErosionApp(demo_config(pe_count, strong, seed, Method::kStandard)).run();
-  const RunResult ulba_run =
-      ErosionApp(demo_config(pe_count, strong, seed, Method::kUlba)).run();
+  const RunResult std_run = ErosionApp(cfg).run();
+  cfg.method = Method::kUlba;
+  const RunResult ulba_run = ErosionApp(cfg).run();
 
   report("standard LB method (adaptive trigger of Zhai et al.):", std_run);
-  report("ULBA (anticipatory underloading, alpha = 0.4):", ulba_run);
+  report("ULBA (anticipatory underloading):", ulba_run);
 
   std::printf("==> ULBA gain: %+.1f%% wall clock, %+.1f pp utilization, "
               "%lld fewer LB calls\n",

@@ -158,18 +158,13 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   ULBA_REQUIRE(threads >= 1 && threads <= 256, "--threads must be in [1, 256]");
   ULBA_REQUIRE(ranks >= 1 && ranks <= 64, "--ranks must be in [1, 64]");
 
-  erosion::AppConfig cfg;
-  cfg.pe_count = pe_count;
-  cfg.strong_rock_count = strong;
-  cfg.seed = seed;
+  erosion::AppConfig cfg =
+      scaled_app_config(pe_count, strong, erosion::Method::kStandard, seed);
   cfg.alpha = alpha;
-  cfg.columns_per_pe = flags.get_int("columns-per-pe", 256);
-  cfg.rows = flags.get_int("rows", 384);
-  cfg.rock_radius = flags.get_int("rock-radius", 96);
-  cfg.iterations = flags.get_int("iterations", 180);
-  cfg.bytes_per_cell = 256.0;
-  cfg.comm.latency_s = 1e-4;
-  cfg.comm.bandwidth_Bps = 2e9;
+  cfg.columns_per_pe = flags.get_int("columns-per-pe", cfg.columns_per_pe);
+  cfg.rows = flags.get_int("rows", cfg.rows);
+  cfg.rock_radius = flags.get_int("rock-radius", cfg.rock_radius);
+  cfg.iterations = flags.get_int("iterations", cfg.iterations);
   cfg.threads = threads;
   cfg.ranks = ranks;
   cfg.validate();

@@ -1,8 +1,8 @@
 // The sweep layer: the seeded experiment sweeps that the `ulba_cli`
-// scenario subcommands and the bench/ harness binaries share, so both drive
-// one implementation — parallel_map, the scaled erosion configuration, the
-// Table-II instance families and the Figure-2 interval-quality sweep.
-// bench_common.hpp only re-exports it.
+// scenario subcommands and the claims suite (tests/test_claims.cpp) share,
+// so both drive one implementation — parallel_map, the scaled erosion
+// configuration, the Table-II instance families and the Figure-2
+// interval-quality sweep.
 #pragma once
 
 #include <algorithm>
@@ -48,7 +48,8 @@ auto parallel_map(std::size_t n, Fn&& fn)
   return parallel_map(pool, n, std::forward<Fn>(fn));
 }
 
-/// The scaled-down erosion configuration every Figure-4/5 sweep shares. The
+/// The scaled-down erosion configuration every Figure-4/5 claim shares, and
+/// the one `ulba_cli erosion` and examples/erosion_demo start from. The
 /// geometry ratios (radius/rows = 1/4, one rock per stripe) match the
 /// paper; the absolute scale is reduced so a full sweep runs in seconds, and
 /// the α-β constants place the LB cost in Table II's C/iteration regime
@@ -59,7 +60,7 @@ auto parallel_map(std::size_t n, Fn&& fn)
                                                    std::uint64_t seed);
 
 // ---------------------------------------------------------------------------
-// Table-II instance-family sweep (ulba_cli instances, bench_table2_instances)
+// Table-II instance-family sweep (ulba_cli instances)
 // ---------------------------------------------------------------------------
 
 /// ULBA-vs-standard statistics over one Table-II family (a pinned PE count).
@@ -89,8 +90,8 @@ struct FamilyStats {
                                                 std::int64_t alpha_grid);
 
 // ---------------------------------------------------------------------------
-// Fig-2 interval-quality sweep (ulba_cli interval-quality,
-// bench_fig2_interval_quality)
+// Fig-2 interval-quality sweep (ulba_cli interval-quality, which the claims
+// suite runs at the paper's 1000 instances)
 // ---------------------------------------------------------------------------
 
 /// One Table-II instance's verdict on the σ⁺ intervals: gain over the

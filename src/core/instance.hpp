@@ -32,7 +32,7 @@ inline constexpr std::array<std::int64_t, 4> kTableIIPeCounts = {256, 512,
                                                                  1024, 2048};
 
 /// A sampled application instance: the model parameters plus the raw draws,
-/// kept for distribution-validation tests (bench_table2_instances).
+/// kept for the distribution-validation tests (test_instance).
 struct Instance {
   ModelParams params;
   double v = 0.0;  ///< overloading fraction draw (N = P·v)

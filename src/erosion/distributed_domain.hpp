@@ -80,15 +80,6 @@ struct DistributedReshardResult {
   double observed_payload_bytes = 0.0;
 };
 
-/// The rank-local final report every rank replicates (bit-identical to the
-/// serial domain's observers under the determinism contract).
-struct DistributedReport {
-  std::int64_t eroded_cells = 0;
-  std::int64_t rock_cells_remaining = 0;
-  std::int64_t frontier_size = 0;
-  double total_workload = 0.0;
-};
-
 class DistributedDomain {
  public:
   /// Collective: every rank of `comm` constructs with the same `config` and
@@ -181,10 +172,6 @@ class DistributedDomain {
     return rock_remaining_;
   }
   [[nodiscard]] std::int64_t frontier_size() const noexcept;
-
-  [[nodiscard]] DistributedReport report() const noexcept {
-    return {eroded_, rock_remaining_, frontier_size(), total_};
-  }
 
   // ---- collectives -------------------------------------------------------
 

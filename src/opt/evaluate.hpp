@@ -69,9 +69,6 @@ class ScheduleCache {
 
   [[nodiscard]] CacheStats stats() const;
   [[nodiscard]] std::int64_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::int64_t shard_count() const noexcept {
-    return static_cast<std::int64_t>(shards_.size());
-  }
 
  private:
   struct Shard {

@@ -1,5 +1,6 @@
-// Minimal fixed-column text table used by the experiment harness to print
-// paper-style result rows (Figure 4a bars, Figure 5 series, ...).
+// Minimal fixed-column text table used by the `ulba_cli` scenarios and the
+// claims suite to print paper-style result rows (Figure 4a bars, Figure 5
+// series, ...).
 #pragma once
 
 #include <string>

@@ -4,76 +4,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "support/require.hpp"
-
 namespace ulba::support {
-
-namespace {
-constexpr const char* kGlyphs = "*+x@o%&$";
-}
-
-std::string plot_series(std::span<const Series> series, std::size_t width,
-                        std::size_t height, double y_lo, double y_hi) {
-  ULBA_REQUIRE(!series.empty(), "plot needs at least one series");
-  ULBA_REQUIRE(width >= 10 && height >= 4, "plot canvas too small");
-  std::size_t n = 0;
-  for (const auto& s : series) n = std::max(n, s.y.size());
-  ULBA_REQUIRE(n >= 2, "plot needs at least two samples");
-
-  if (!(y_lo < y_hi)) {  // auto range
-    y_lo = series[0].y.empty() ? 0.0 : series[0].y[0];
-    y_hi = y_lo;
-    for (const auto& s : series)
-      for (double v : s.y) {
-        y_lo = std::min(y_lo, v);
-        y_hi = std::max(y_hi, v);
-      }
-    if (y_lo == y_hi) {
-      y_lo -= 0.5;
-      y_hi += 0.5;
-    }
-  }
-
-  std::vector<std::string> canvas(height, std::string(width, ' '));
-  const auto to_row = [&](double v) -> std::size_t {
-    const double t = std::clamp((v - y_lo) / (y_hi - y_lo), 0.0, 1.0);
-    return (height - 1) -
-           static_cast<std::size_t>(
-               std::lround(t * static_cast<double>(height - 1)));
-  };
-  for (std::size_t si = 0; si < series.size(); ++si) {
-    const auto& s = series[si];
-    const char glyph = kGlyphs[si % 8];
-    for (std::size_t i = 0; i < s.y.size(); ++i) {
-      const std::size_t c =
-          s.y.size() == 1
-              ? 0
-              : static_cast<std::size_t>(std::lround(
-                    static_cast<double>(i) /
-                    static_cast<double>(s.y.size() - 1) *
-                    static_cast<double>(width - 1)));
-      canvas[to_row(s.y[i])][c] = glyph;
-    }
-  }
-
-  std::ostringstream os;
-  char buf[32];
-  for (std::size_t r = 0; r < height; ++r) {
-    const double axis_v =
-        y_hi - (y_hi - y_lo) * static_cast<double>(r) /
-                   static_cast<double>(height - 1);
-    std::snprintf(buf, sizeof(buf), "%10.3f |", axis_v);
-    os << buf << canvas[r] << '\n';
-  }
-  os << std::string(12, ' ') << std::string(width, '-') << '\n';
-  os << "  legend: ";
-  for (std::size_t si = 0; si < series.size(); ++si) {
-    os << kGlyphs[si % 8] << '=' << series[si].name;
-    if (si + 1 < series.size()) os << "  ";
-  }
-  os << '\n';
-  return os.str();
-}
 
 std::string sparkline(std::span<const double> y) {
   static constexpr const char* kBlocks[] = {" ", ".", ":", "-", "=",
@@ -88,30 +19,6 @@ std::string sparkline(std::span<const double> y) {
   for (double v : y) {
     const double t = hi == lo ? 0.5 : (v - lo) / (hi - lo);
     os << kBlocks[static_cast<std::size_t>(std::lround(t * 8.0))];
-  }
-  return os.str();
-}
-
-std::string bar_chart(std::span<const std::pair<std::string, double>> bars,
-                      std::size_t width) {
-  ULBA_REQUIRE(!bars.empty(), "bar chart needs at least one bar");
-  double vmax = 0.0;
-  std::size_t label_w = 0;
-  for (const auto& [label, v] : bars) {
-    ULBA_REQUIRE(v >= 0.0, "bar chart values must be non-negative");
-    vmax = std::max(vmax, v);
-    label_w = std::max(label_w, label.size());
-  }
-  std::ostringstream os;
-  char buf[32];
-  for (const auto& [label, v] : bars) {
-    const auto len =
-        vmax > 0.0 ? static_cast<std::size_t>(std::lround(
-                         v / vmax * static_cast<double>(width)))
-                   : std::size_t{0};
-    std::snprintf(buf, sizeof(buf), " %12.3f ", v);
-    os << label << std::string(label_w - label.size(), ' ') << buf
-       << std::string(len, '#') << '\n';
   }
   return os.str();
 }

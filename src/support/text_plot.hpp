@@ -1,34 +1,14 @@
-// Terminal line/series plots, used by the experiment harness to render
-// Figure-4b-style utilization traces and Figure-5-style α sweeps without any
-// plotting dependency.
+// Terminal sparklines: the erosion report draws each run's per-iteration
+// utilization trace, and `alpha-tuning` its gain landscape, on one line
+// without any plotting dependency.
 #pragma once
 
 #include <span>
 #include <string>
-#include <vector>
 
 namespace ulba::support {
 
-/// One named series of (shared-x) samples.
-struct Series {
-  std::string name;
-  std::vector<double> y;
-};
-
-/// Render several series on a shared canvas of `width`×`height` characters.
-/// Each series gets its own glyph; y-range spans all series (or the explicit
-/// [y_lo, y_hi] if y_lo < y_hi). X indices are linearly mapped to columns.
-[[nodiscard]] std::string plot_series(std::span<const Series> series,
-                                      std::size_t width = 100,
-                                      std::size_t height = 20,
-                                      double y_lo = 0.0, double y_hi = -1.0);
-
 /// Compact one-line sparkline of a series using block glyphs.
 [[nodiscard]] std::string sparkline(std::span<const double> y);
-
-/// Horizontal bar chart: one labelled bar per (label, value).
-[[nodiscard]] std::string bar_chart(
-    std::span<const std::pair<std::string, double>> bars,
-    std::size_t width = 60);
 
 }  // namespace ulba::support

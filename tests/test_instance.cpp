@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
 
 namespace ulba::core {
 namespace {
@@ -31,35 +32,43 @@ TEST(InstanceGenerator, PComesFromTheTableSet) {
   EXPECT_EQ(seen, (std::set<std::int64_t>{256, 512, 1024, 2048}));
 }
 
+// Every raw draw lies in its Table-II support, and ΔW = aP + mN holds.
+// Seed 20190916 (the paper's arXiv date) adds 10,000 draws to seed 3's 500.
 TEST(InstanceGenerator, TableIIRanges) {
-  support::Rng rng(3);
   const InstanceGenerator gen;
-  for (int i = 0; i < 500; ++i) {
-    const Instance inst = gen.sample(rng);
-    const ModelParams& p = inst.params;
-    const auto pd = static_cast<double>(p.P);
+  for (const auto& [seed, draws] :
+       {std::pair<std::uint64_t, int>{3, 500}, {20190916, 10000}}) {
+    support::Rng rng(seed);
+    for (int i = 0; i < draws; ++i) {
+      const Instance inst = gen.sample(rng);
+      const ModelParams& p = inst.params;
+      const auto pd = static_cast<double>(p.P);
 
-    EXPECT_GE(inst.v, 0.01);
-    EXPECT_LT(inst.v, 0.2);
-    EXPECT_GE(p.N, 1);
-    EXPECT_LE(static_cast<double>(p.N), 0.2 * pd + 1.0);
+      EXPECT_GE(inst.v, 0.01);
+      EXPECT_LT(inst.v, 0.2);
+      EXPECT_GE(p.N, 1);
+      EXPECT_LT(p.N, p.P);
+      EXPECT_LE(static_cast<double>(p.N), 0.2 * pd + 1.0);
 
-    EXPECT_GE(p.w0, 52e7 * pd);
-    EXPECT_LT(p.w0, 1165e7 * pd);
+      EXPECT_GE(p.w0, 52e7 * pd);
+      EXPECT_LT(p.w0, 1165e7 * pd);
 
-    EXPECT_GE(inst.x, 0.01);
-    EXPECT_LT(inst.x, 0.3);
-    EXPECT_GE(inst.y, 0.8);
-    EXPECT_LT(inst.y, 1.0);
+      EXPECT_GE(inst.x, 0.01);
+      EXPECT_LT(inst.x, 0.3);
+      EXPECT_GE(inst.y, 0.8);
+      EXPECT_LT(inst.y, 1.0);
 
-    EXPECT_GE(p.alpha, 0.0);
-    EXPECT_LE(p.alpha, 1.0);
+      EXPECT_GE(p.alpha, 0.0);
+      EXPECT_LE(p.alpha, 1.0);
 
-    EXPECT_GE(inst.z, 0.1);
-    EXPECT_LT(inst.z, 3.0);
-    // C (seconds) = (W0/P)·z/ω
-    EXPECT_NEAR(p.lb_cost, (p.w0 / pd) * inst.z / p.omega,
-                1e-9 * p.lb_cost);
+      EXPECT_GE(inst.z, 0.1);
+      EXPECT_LT(inst.z, 3.0);
+      // C (seconds) = (W0/P)·z/ω
+      EXPECT_NEAR(p.lb_cost, (p.w0 / pd) * inst.z / p.omega,
+                  1e-9 * p.lb_cost);
+      const double dw_drawn = (p.w0 / pd) * inst.x;
+      EXPECT_NEAR(p.delta_w(), dw_drawn, 1e-9 * dw_drawn);
+    }
   }
 }
 

@@ -1,6 +1,6 @@
-// Cross-module integration: miniature versions of the paper's experiments
-// and the check that the BSP machine reproduces the analytic model's
-// interval times.
+// Cross-module integration: the BSP machine reproduces the analytic model's
+// interval times, and the exact DP optimum bounds the analytic schedules on
+// random Table-II instances. The paper's figures live in test_claims.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,61 +14,9 @@
 #include "core/ulba_model.hpp"
 #include "opt/dp_optimal.hpp"
 #include "opt/schedule_problem.hpp"
-#include "support/stats.hpp"
 
 namespace ulba {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Mini Figure 2: over random Table-II instances, the σ⁺ schedule is close to
-// the annealed one — average gap within a few percent, exactly the paper's
-// observation (mean −0.83 %, worst −5.58 %, best +1.57 %).
-TEST(Integration, MiniFigure2SigmaPlusTracksHeuristic) {
-  support::Rng rng(1234);
-  const core::InstanceGenerator gen;
-  std::vector<double> gains;
-  for (int i = 0; i < 30; ++i) {
-    const core::ModelParams p = gen.sample(rng).params;
-    support::Rng sa_rng = rng.fork(static_cast<std::uint64_t>(i));
-    const auto sa =
-        opt::anneal_schedule(p, opt::CostModel::kUlba, sa_rng, 10000);
-    const double t_sigma =
-        core::evaluate_ulba(p, core::sigma_plus_schedule(p)).total_seconds;
-    gains.push_back((sa.total_seconds - t_sigma) / sa.total_seconds);
-  }
-  const double avg = support::mean(gains);
-  EXPECT_GT(avg, -0.10);  // σ⁺ loses at most 10 % on average
-  EXPECT_LT(avg, 0.05);   // and cannot beat a good heuristic by much
-}
-
-// ---------------------------------------------------------------------------
-// Mini Figure 3: best-α ULBA never loses to the standard method, and wins
-// clearly at low overloading fractions.
-TEST(Integration, MiniFigure3UlbaNeverLoses) {
-  support::Rng rng(77);
-  for (double frac : {0.02, 0.10, 0.20}) {
-    core::InstanceOptions opts;
-    opts.pin_p = 512;
-    opts.pin_overloading_fraction = frac;
-    const core::InstanceGenerator gen(opts);
-    for (int i = 0; i < 10; ++i) {
-      core::ModelParams p = gen.sample(rng).params;
-      const double t_std =
-          core::evaluate_standard(p, core::menon_schedule(p)).total_seconds;
-      double best = std::numeric_limits<double>::infinity();
-      for (int a = 0; a <= 20; ++a) {
-        p.alpha = static_cast<double>(a) / 20.0;
-        best = std::min(best, core::evaluate_ulba(
-                                  p, core::sigma_plus_schedule(p))
-                                  .total_seconds);
-      }
-      // α = 0 reproduces the standard method up to the ⌊σ⁺⌋-vs-round(τ)
-      // spacing difference; allow that sliver.
-      EXPECT_LE(best, t_std * 1.005)
-          << "frac = " << frac << ", instance " << i;
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Model ↔ simulator consistency: drive the BSP machine with the linear

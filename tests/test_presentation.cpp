@@ -1,10 +1,9 @@
-// Histogram, box plot, table, and text-plot presentation utilities.
+// Histogram, table, and sparkline presentation utilities.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "support/boxplot.hpp"
 #include "support/histogram.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -81,46 +80,6 @@ TEST(Histogram, InvalidConstruction) {
   EXPECT_THROW((void)h.count(3), std::invalid_argument);
 }
 
-TEST(BoxPlot, KnownQuartiles) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0, 5.0};
-  const BoxPlot b = box_plot(xs);
-  EXPECT_DOUBLE_EQ(b.q1, 2.0);
-  EXPECT_DOUBLE_EQ(b.median, 3.0);
-  EXPECT_DOUBLE_EQ(b.q3, 4.0);
-  EXPECT_DOUBLE_EQ(b.whisker_lo, 1.0);
-  EXPECT_DOUBLE_EQ(b.whisker_hi, 5.0);
-  EXPECT_TRUE(b.outliers.empty());
-}
-
-TEST(BoxPlot, DetectsOutliers) {
-  std::vector<double> xs;
-  for (int i = 0; i < 20; ++i) xs.push_back(10.0 + 0.1 * i);
-  xs.push_back(1000.0);  // far outlier
-  const BoxPlot b = box_plot(xs);
-  ASSERT_EQ(b.outliers.size(), 1u);
-  EXPECT_DOUBLE_EQ(b.outliers[0], 1000.0);
-  EXPECT_LT(b.whisker_hi, 1000.0);
-}
-
-TEST(BoxPlot, ConstantSample) {
-  const std::vector<double> xs{7.0, 7.0, 7.0, 7.0};
-  const BoxPlot b = box_plot(xs);
-  EXPECT_DOUBLE_EQ(b.q1, 7.0);
-  EXPECT_DOUBLE_EQ(b.q3, 7.0);
-  EXPECT_DOUBLE_EQ(b.whisker_lo, 7.0);
-  EXPECT_DOUBLE_EQ(b.whisker_hi, 7.0);
-  EXPECT_TRUE(b.outliers.empty());
-}
-
-TEST(BoxPlot, RenderMarksBoxAndMedian) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0, 5.0};
-  const std::string line = render_box(box_plot(xs), 0.0, 6.0, 60);
-  EXPECT_EQ(line.size(), 60u);
-  EXPECT_NE(line.find('M'), std::string::npos);
-  EXPECT_NE(line.find('['), std::string::npos);
-  EXPECT_NE(line.find(']'), std::string::npos);
-}
-
 TEST(Table, RendersAlignedColumns) {
   Table t({"name", "value"});
   t.add_row({"alpha", "0.4"});
@@ -143,33 +102,10 @@ TEST(Table, NumAndPctFormatting) {
   EXPECT_EQ(Table::pct(0.163, 1), "16.3%");
 }
 
-TEST(TextPlot, SeriesPlotHasLegendAndAxis) {
-  std::vector<Series> series;
-  series.push_back({"usage", {0.2, 0.5, 0.9, 0.7}});
-  series.push_back({"other", {0.9, 0.8, 0.1, 0.3}});
-  const std::string p = plot_series(series, 40, 10);
-  EXPECT_NE(p.find("legend:"), std::string::npos);
-  EXPECT_NE(p.find("usage"), std::string::npos);
-  EXPECT_NE(p.find('*'), std::string::npos);
-  EXPECT_NE(p.find('+'), std::string::npos);
-}
-
 TEST(TextPlot, SparklineLengthMatches) {
   const std::vector<double> y{0.0, 0.5, 1.0, 0.5};
   EXPECT_EQ(sparkline(y).size(), 4u);
   EXPECT_TRUE(sparkline({}).empty());
-}
-
-TEST(TextPlot, BarChartOneRowPerBar) {
-  const std::vector<std::pair<std::string, double>> bars{
-      {"std", 120.0}, {"ulba", 100.0}};
-  const std::string c = bar_chart(bars, 30);
-  EXPECT_EQ(std::count(c.begin(), c.end(), '\n'), 2);
-  EXPECT_THROW(
-      (void)bar_chart(std::vector<std::pair<std::string, double>>{
-          {"neg", -1.0}},
-                      10),
-      std::invalid_argument);
 }
 
 }  // namespace
