@@ -4,9 +4,9 @@
 // --flag=value]…`, and every flag takes a value.  Every subcommand declares
 // the flags it accepts; anything else is rejected via ULBA_REQUIRE
 // (std::invalid_argument) so misuse is reportable and testable.  The
-// ModelParams flags (--P, --N, --gamma, …) are shared by all analytic-model
-// scenarios so that future scenarios plug into one parameter vocabulary
-// instead of growing ad-hoc argv conventions per `examples/` main.
+// ModelParams flags (--P, --N, --gamma, …) are the analytic model's one
+// parameter vocabulary: a scenario that evaluates the model reads these
+// flags instead of growing ad-hoc argv conventions of its own.
 #pragma once
 
 #include <cstdint>

@@ -19,21 +19,6 @@ struct Subcommand {
   std::function<std::string()> help_body;
 };
 
-std::string quickstart_help() {
-  return "Evaluate the analytic model once: Menon tau, ULBA [sigma-, "
-         "sigma+],\nand total time standard-vs-ULBA (mini Figure 3), plus a "
-         "mini erosion run.\n\n"
-         "options:\n"
-         "  --threads <int>      host threads stepping the mini erosion run "
-         "[1]\n"
-         "  --ranks <int>        SPMD ranks stepping the mini erosion run "
-         "over the\n"
-         "                       message-passing runtime [1]\n"
-         "  --seed <int>         placement seed of the mini erosion run "
-         "[11]\n\n" +
-         model_param_help(quickstart_defaults());
-}
-
 std::string erosion_help() {
   return "Run the paper's erosion application (Section IV-B) under the "
          "standard\nLB method and under ULBA, same seed, and compare.\n"
@@ -58,26 +43,22 @@ std::string erosion_help() {
          "                         passing runtime: per-rank column stripes, "
          "real halo/\n"
          "                         migration messages, bit-identical to the "
-         "serial run  [1]\n";
+         "serial run  [1]\n"
+         "                         Each rank steps on its own --threads pool, "
+         "so\n"
+         "                         --threads x --ranks must be at most 256.\n";
 }
 
 std::string intervals_help() {
-  return "Sweep alpha and report sigma-/sigma+/schedule/total time, with "
-         "the\nexact DP optimum as the reference line.\n\n"
+  return "The analytic model (Section III): dW, m_hat, a_hat and Menon tau; "
+         "an alpha\nsweep of sigma-/sigma+/LB calls/total time with its gain "
+         "sparkline; the\ntime and gain at --alpha; and the best alpha with "
+         "its sigma+ schedule,\nthe exact DP optimum and the Menon "
+         "schedule.\n\n"
          "options:\n"
          "  --alpha-steps <int>  sweep resolution (alpha = i/steps) [10]\n"
          "  --dp off             skip the O(gamma^2) DP reference\n\n" +
          model_param_help(intervals_defaults());
-}
-
-std::string alpha_tuning_help() {
-  return "Fine alpha sweep: best alpha for the model and the gain landscape\n"
-         "vs. the standard method (analytic Figure-5 counterpart).\n\n"
-         "options:\n"
-         "  --alpha-min <0..1>   sweep start [0.05]\n"
-         "  --alpha-max <0..1>   sweep end   [1.0]\n"
-         "  --alpha-step <r>     sweep step  [0.05]\n\n" +
-         model_param_help(quickstart_defaults());
 }
 
 std::string interval_quality_help() {
@@ -130,16 +111,11 @@ std::string serve_help() {
 
 const std::vector<Subcommand>& registry() {
   static const std::vector<Subcommand> kSubcommands{
-      {"quickstart",
-       "analytic model in a nutshell: tau vs. [sigma-, sigma+] and the gain",
-       run_quickstart, quickstart_help},
       {"erosion", "the erosion application, standard vs. ULBA", run_erosion,
        erosion_help},
       {"intervals",
-       "alpha sweep of sigma-/sigma+/schedules with the DP optimum",
+       "the analytic model: tau, alpha sweep of sigma-/sigma+, DP optimum",
        run_intervals, intervals_help},
-      {"alpha-tuning", "fine alpha sweep: best alpha and the gain landscape",
-       run_alpha_tuning, alpha_tuning_help},
       {"instances",
        "Table-II instance families: ULBA win/loss/gain vs. the standard "
        "method",

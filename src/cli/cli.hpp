@@ -2,7 +2,8 @@
 //
 //   ulba_cli <subcommand> [--flag value]…
 //
-// Subcommands: quickstart, erosion, intervals, alpha-tuning (plus `help`).
+// Subcommands: erosion, intervals, instances, interval-quality, serve (plus
+// `help`).
 // `run()` is argv-free and stream-parameterized so the dispatcher is
 // directly unit-testable; main.cpp is a thin adapter that also maps the
 // ULBA_REQUIRE exceptions to exit code 2 + a usage hint.

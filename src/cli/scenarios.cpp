@@ -1,7 +1,6 @@
 #include "cli/scenarios.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -41,20 +40,6 @@ std::string timeline(const core::Schedule& s) {
 
 }  // namespace
 
-core::ModelParams quickstart_defaults() {
-  core::ModelParams p;
-  p.P = 512;
-  p.N = 32;
-  p.gamma = 100;
-  p.omega = 1e9;
-  p.w0 = 3e9 * static_cast<double>(p.P);
-  p.a = 6e4;
-  p.m = 3e7;
-  p.alpha = 0.5;
-  p.lb_cost = 1.5;
-  return p;
-}
-
 core::ModelParams intervals_defaults() {
   core::ModelParams p;
   p.P = 1024;
@@ -65,79 +50,8 @@ core::ModelParams intervals_defaults() {
   p.a = 1e5;
   p.m = 2e7;
   p.lb_cost = 2.0;
-  p.alpha = 0.0;
+  p.alpha = 0.5;
   return p;
-}
-
-int run_quickstart(const FlagMap& flags, std::ostream& out) {
-  flags.require_known(with_model_flags({"threads", "ranks", "seed"}));
-  const core::ModelParams p =
-      parse_model_params(flags, quickstart_defaults());
-  const std::uint64_t seed = flags.get_seed("seed", 11);
-  const std::int64_t threads = flags.get_int("threads", 1);
-  const std::int64_t ranks = flags.get_int("ranks", 1);
-  ULBA_REQUIRE(threads >= 1 && threads <= 256, "--threads must be in [1, 256]");
-  ULBA_REQUIRE(ranks >= 1 && ranks <= 16, "--ranks must be in [1, 16]");
-
-  out << "Application: P=" << p.P << " PEs, N=" << p.N
-      << " overloading, gamma=" << p.gamma << "\n"
-      << "  dW = " << p.delta_w() << " FLOP/iter, m_hat = " << p.m_hat()
-      << ", a_hat = " << p.a_hat() << "\n\n";
-
-  out << "Menon tau (standard method)   : every " << core::menon_tau(p)
-      << " iterations\n";
-  const core::IntervalBounds b =
-      core::interval_bounds(p, 0, p.alpha, p.alpha);
-  out << "ULBA sigma- (no degradation)  : " << b.lower << " iterations\n"
-      << "ULBA sigma+ (recommended)     : " << b.upper << " iterations\n\n";
-
-  const core::ScheduleCost t_std =
-      core::evaluate_standard(p, core::menon_schedule(p));
-  const core::ScheduleCost t_ulba =
-      core::evaluate_ulba(p, core::sigma_plus_schedule(p));
-  out << "standard method  : " << t_std.total_seconds << " s  ("
-      << t_std.lb_count << " LB calls)\n"
-      << "ULBA, alpha=" << p.alpha << ": " << t_ulba.total_seconds << " s  ("
-      << t_ulba.lb_count << " LB calls)\n"
-      << "anticipation gain: "
-      << (t_std.total_seconds - t_ulba.total_seconds) / t_std.total_seconds *
-             100.0
-      << " %\n";
-
-  // The model in practice: a miniature §IV-B erosion run (--seed, default
-  // 11 like the other erosion subcommands; the shared Table-II comm
-  // calibration of scaled_app_config, geometry scaled down further),
-  // stepped on `--threads` host threads and `--ranks` SPMD ranks — one
-  // identical virtual-time result for every combination (see
-  // AppConfig::threads).
-  erosion::AppConfig mini =
-      scaled_app_config(16, 1, erosion::Method::kStandard, seed);
-  mini.columns_per_pe = 64;
-  mini.rows = 96;
-  mini.rock_radius = 24;
-  mini.iterations = 120;
-  mini.alpha = p.alpha;
-  mini.threads = threads;
-  mini.ranks = ranks;
-  mini.validate();
-  mini.method = erosion::Method::kStandard;
-  const erosion::RunResult mini_std = erosion::ErosionApp(mini).run();
-  mini.method = erosion::Method::kUlba;
-  const erosion::RunResult mini_ulba = erosion::ErosionApp(mini).run();
-  out << "\nin practice (mini erosion run: 16 PEs, seed " << mini.seed
-      << ", " << threads << " thread(s)";
-  if (ranks > 1)
-    out << ", " << ranks << " SPMD ranks via " << mini.partitioner;
-  out << "):\n"
-      << "  standard : " << mini_std.total_seconds << " s  ("
-      << mini_std.lb_count << " LB calls)\n"
-      << "  ULBA     : " << mini_ulba.total_seconds << " s  ("
-      << mini_ulba.lb_count << " LB calls)\n"
-      << "  simulated gain: "
-      << (mini_std.total_seconds - mini_ulba.total_seconds) /
-             mini_std.total_seconds * 100.0
-      << " %\n";
-  return 0;
 }
 
 int run_erosion(const FlagMap& flags, std::ostream& out) {
@@ -157,6 +71,11 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   ULBA_REQUIRE(alpha > 0.0 && alpha <= 1.0, "--alpha must be in (0, 1]");
   ULBA_REQUIRE(threads >= 1 && threads <= 256, "--threads must be in [1, 256]");
   ULBA_REQUIRE(ranks >= 1 && ranks <= 64, "--ranks must be in [1, 64]");
+  // Every rank steps on its own pool of `threads` threads (the rank itself
+  // is the pool's first), so one run starts threads × ranks threads.
+  ULBA_REQUIRE(threads * ranks <= 256,
+               "--threads x --ranks must be at most 256: each of the --ranks "
+               "ranks steps on its own pool of --threads threads");
 
   erosion::AppConfig cfg =
       scaled_app_config(pe_count, strong, erosion::Method::kStandard, seed);
@@ -239,42 +158,63 @@ int run_intervals(const FlagMap& flags, std::ostream& out) {
   const std::string dp = flags.get_string("dp", "on");
   ULBA_REQUIRE(dp == "on" || dp == "off", "--dp expects 'on' or 'off'");
 
+  // One request carries the sweep (α = i/steps) and the configured α: every
+  // time, LB count and the best α below come from the evaluator that
+  // `instances` and `serve` share.
+  core::ScheduleRequest request;
+  request.mode = core::EvalMode::kSigmaGrid;
+  request.params = p;
+  for (std::int64_t i = 0; i <= steps; ++i)
+    request.alpha_grid.push_back(static_cast<double>(i) /
+                                 static_cast<double>(steps));
+  const core::ScheduleResponse response =
+      opt::evaluate_schedule_request(request);
+  const double t_std = response.standard_seconds;
+  const auto gain = [t_std](double t) { return (t_std - t) / t_std; };
+
   out << "Model: P=" << p.P << ", N=" << p.N << ", gamma=" << p.gamma
-      << ", C=" << p.lb_cost << "s, tau_Menon=" << core::menon_tau(p)
-      << "\n\n";
+      << ", C=" << p.lb_cost << "s, tau_Menon=" << core::menon_tau(p) << "\n"
+      << "  dW = " << p.delta_w() << " FLOP/iter, m_hat = " << p.m_hat()
+      << ", a_hat = " << p.a_hat() << "\n\n";
 
   support::Table table({"alpha", "sigma-", "sigma+", "LB calls",
                         "T total [s]", "vs standard"});
-  const double t_std =
-      core::evaluate_standard(p, core::menon_schedule(p)).total_seconds;
-
-  double best_alpha = 0.0, best_time = t_std;
-  for (std::int64_t i = 0; i <= steps; ++i) {
-    core::ModelParams q = p;
-    q.alpha = static_cast<double>(i) / static_cast<double>(steps);
-    const auto bounds = core::interval_bounds(q, 0, q.alpha, q.alpha);
-    const auto schedule = core::sigma_plus_schedule(q);
-    const double t = core::evaluate_ulba(q, schedule).total_seconds;
-    if (t < best_time) {
-      best_time = t;
-      best_alpha = q.alpha;
-    }
-    table.add_row({support::Table::num(q.alpha, 2),
+  std::vector<double> gains;
+  for (const core::GridPointEval& point : response.grid) {
+    // The σ columns are the closed-form bounds of the first interval a
+    // ULBA step opens (Eqs. (8) and (12)); they are not times.
+    const core::IntervalBounds bounds =
+        core::interval_bounds(p, 0, point.alpha, point.alpha);
+    gains.push_back(gain(point.total_seconds) * 100.0);
+    table.add_row({support::Table::num(point.alpha, 2),
                    std::to_string(bounds.lower),
                    support::Table::num(bounds.upper, 1),
-                   std::to_string(schedule.lb_count()),
-                   support::Table::num(t, 2),
-                   support::Table::pct((t_std - t) / t_std, 2)});
+                   std::to_string(point.lb_count),
+                   support::Table::num(point.total_seconds, 2),
+                   support::Table::pct(gain(point.total_seconds), 2)});
   }
-  out << table.render(2) << "\n";
+  out << table.render(2) << "gain vs alpha [%]: " << support::sparkline(gains)
+      << "\n\n";
 
-  core::ModelParams q = p;
-  q.alpha = best_alpha;
-  const auto sigma_sched = core::sigma_plus_schedule(q);
-  out << "best alpha = " << best_alpha << "\n"
-      << "  sigma+ schedule  " << timeline(sigma_sched) << "   ("
-      << core::evaluate_ulba(q, sigma_sched).total_seconds << " s)\n";
+  out << "at the configured alpha (--alpha " << p.alpha << "):\n"
+      << "  standard method  : " << t_std << " s  ("
+      << response.standard_lb_count << " LB calls)\n"
+      << "  ULBA             : " << response.alpha_seconds << " s\n"
+      << "  anticipation gain: " << gain(response.alpha_seconds) * 100.0
+      << " %\n\n";
+
+  // The recommended schedule is σ⁺ at the best α (Menon τ when no grid α
+  // beats the standard method).
+  const core::Schedule recommended(p.gamma, response.schedule_steps);
+  out << "best alpha = " << response.best_alpha << "\n"
+      << "  gain             " << gain(response.best_seconds) * 100.0
+      << " % over standard (" << t_std << " s -> " << response.best_seconds
+      << " s)\n"
+      << "  sigma+ schedule  " << timeline(recommended) << "   ("
+      << response.schedule_seconds << " s)\n";
   if (dp == "on") {
+    core::ModelParams q = p;
+    q.alpha = response.best_alpha;
     const auto dp = opt::optimal_schedule(q, opt::CostModel::kUlba);
     out << "  DP optimum       " << timeline(dp.schedule) << "   ("
         << dp.total_seconds << " s)\n";
@@ -282,69 +222,6 @@ int run_intervals(const FlagMap& flags, std::ostream& out) {
   out << "  standard (tau)   " << timeline(core::menon_schedule(p)) << "   ("
       << t_std << " s)\n"
       << "\n('|' marks an LB step along the " << p.gamma << " iterations)\n";
-  return 0;
-}
-
-int run_alpha_tuning(const FlagMap& flags, std::ostream& out) {
-  flags.require_known(
-      with_model_flags({"alpha-min", "alpha-max", "alpha-step"}));
-  const core::ModelParams base =
-      parse_model_params(flags, quickstart_defaults());
-  const double lo = flags.get_double("alpha-min", 0.05);
-  const double hi = flags.get_double("alpha-max", 1.0);
-  const double step = flags.get_double("alpha-step", 0.05);
-  ULBA_REQUIRE(lo > 0.0 && lo <= 1.0, "--alpha-min must be in (0, 1]");
-  ULBA_REQUIRE(hi >= lo && hi <= 1.0, "--alpha-max must be in [alpha-min, 1]");
-  ULBA_REQUIRE(step > 0.0, "--alpha-step must be positive");
-
-  // One ScheduleRequest carries the whole sweep; the response's grid rows
-  // are the per-alpha sigma+ evaluations the loop below used to compute.
-  // The grid stops at the request limit: a tiny step would otherwise grow
-  // it without bound (and loop forever once a + step == a).
-  core::ScheduleRequest request;
-  request.mode = core::EvalMode::kSigmaGrid;
-  request.params = base;
-  for (double a = lo; a <= hi + 1e-12; a += step) {
-    ULBA_REQUIRE(static_cast<std::int64_t>(request.alpha_grid.size()) <
-                     core::kMaxGridPoints,
-                 "--alpha-step gives more than " +
-                     std::to_string(core::kMaxGridPoints) +
-                     " alpha values in [alpha-min, alpha-max]");
-    request.alpha_grid.push_back(std::min(a, 1.0));
-  }
-
-  out << "Alpha tuning: P=" << base.P << ", N=" << base.N
-      << ", gamma=" << base.gamma << ", C=" << base.lb_cost << "s\n"
-      << "(sweeping alpha in [" << lo << ", " << hi << "] by " << step
-      << "; sigma+ schedule per alpha, Eq. (4)/(5) evaluation)\n\n";
-  const core::ScheduleResponse response =
-      opt::evaluate_schedule_request(request);
-  const double t_std = response.standard_seconds;
-
-  support::Table table({"alpha", "LB calls", "T total [s]", "gain"});
-  std::vector<double> gains;
-  std::vector<double> alphas;
-  // Local best scan over the swept alphas only: the response's best_alpha
-  // seeds from the alpha=0 standard fallback, which this sweep excludes.
-  double best_alpha = lo, best_time = std::numeric_limits<double>::infinity();
-  for (const core::GridPointEval& point : response.grid) {
-    const double t = point.total_seconds;
-    const double gain = (t_std - t) / t_std;
-    if (t < best_time) {
-      best_time = t;
-      best_alpha = point.alpha;
-    }
-    alphas.push_back(point.alpha);
-    gains.push_back(gain * 100.0);
-    table.add_row({support::Table::num(point.alpha, 2),
-                   std::to_string(point.lb_count),
-                   support::Table::num(t, 2), support::Table::pct(gain, 2)});
-  }
-  out << table.render(2) << "\n";
-  out << "gain vs alpha [%]: " << support::sparkline(gains) << "\n";
-  out << "best alpha = " << best_alpha << "  ("
-      << (t_std - best_time) / t_std * 100.0 << " % over standard, "
-      << t_std << " s -> " << best_time << " s)\n";
   return 0;
 }
 

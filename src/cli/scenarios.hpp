@@ -1,9 +1,7 @@
 // The scenarios behind the `ulba_cli` subcommands.
 //
 // Each scenario takes its already-parsed FlagMap, writes its report to the
-// given stream, and returns a process exit code.  The `examples/` binaries
-// remain as minimal API walkthroughs; these functions are the configurable,
-// single-entry-point versions the ROADMAP's scenario growth builds on.
+// given stream, and returns a process exit code.
 #pragma once
 
 #include <ostream>
@@ -12,30 +10,20 @@
 
 namespace ulba::cli {
 
-/// Default ModelParams of `quickstart` and `alpha-tuning` (the quickstart's
-/// 512-PE application) — exposed so help texts render the real defaults.
-[[nodiscard]] core::ModelParams quickstart_defaults();
-
-/// Default ModelParams of `intervals` (the interval explorer's 1024-PE
-/// model, α = 0).
+/// Default ModelParams of `intervals` (a 1024-PE model, configured α = 0.5)
+/// — exposed so its help text renders the real defaults.
 [[nodiscard]] core::ModelParams intervals_defaults();
-
-/// `quickstart` — analytic model in a nutshell: Menon τ vs. ULBA [σ⁻, σ⁺]
-/// and the total-time comparison of the two methods (mini Figure 3).
-int run_quickstart(const FlagMap& flags, std::ostream& out);
 
 /// `erosion` — the §IV-B erosion application under the standard method and
 /// under ULBA, in virtual time; `--threads` and `--ranks` choose how the
 /// dynamics are stepped, never what they compute.
 int run_erosion(const FlagMap& flags, std::ostream& out);
 
-/// `intervals` — α sweep of σ⁻/σ⁺/schedule/total time with the exact DP
-/// optimum as the reference line (the interval-explorer scenario).
+/// `intervals` — the one report of the analytic model: ΔW, m̂, â and Menon
+/// τ; an α sweep of σ⁻/σ⁺/LB calls/total time (one kSigmaGrid
+/// ScheduleRequest) with its gain sparkline; the time and gain at `--alpha`;
+/// and the best α with the σ⁺, exact DP-optimal and Menon schedules.
 int run_intervals(const FlagMap& flags, std::ostream& out);
-
-/// `alpha-tuning` — fine α sweep reporting the best α for the model and the
-/// gain landscape vs. the standard method (analytic Figure-5 counterpart).
-int run_alpha_tuning(const FlagMap& flags, std::ostream& out);
 
 /// `instances` — Table-II-style sweep over the InstanceGenerator families
 /// (one per pinned PE count): win/loss/gain statistics of ULBA vs. the

@@ -49,11 +49,10 @@ auto parallel_map(std::size_t n, Fn&& fn)
 }
 
 /// The scaled-down erosion configuration every Figure-4/5 claim shares, and
-/// the one `ulba_cli erosion` and examples/erosion_demo start from. The
-/// geometry ratios (radius/rows = 1/4, one rock per stripe) match the
-/// paper; the absolute scale is reduced so a full sweep runs in seconds, and
-/// the α-β constants place the LB cost in Table II's C/iteration regime
-/// (~0.1–3).
+/// the one `ulba_cli erosion` starts from. The geometry ratios (radius/rows
+/// = 1/4, one rock per stripe) match the paper; the absolute scale is
+/// reduced so a full sweep runs in seconds, and the α-β constants place the
+/// LB cost in Table II's C/iteration regime (~0.1–3).
 [[nodiscard]] erosion::AppConfig scaled_app_config(std::int64_t pe_count,
                                                    std::int64_t strong_rocks,
                                                    erosion::Method method,

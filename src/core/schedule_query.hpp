@@ -28,7 +28,7 @@ namespace ulba::core {
 /// How a request's candidate α's are evaluated.
 enum class EvalMode : std::uint8_t {
   /// Closed-form Eq. (4)/(5): Menon τ for the standard reference, the σ⁺
-  /// schedule per grid α. The `alpha-tuning`, Table-II-sweep and
+  /// schedule per grid α. The `intervals`, Table-II-sweep and
   /// `serve --mode grid` evaluation.
   kSigmaGrid = 0,
   /// Exact DP per grid α (opt::optimal_schedule, ULBA cost model) plus the

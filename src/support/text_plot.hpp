@@ -1,5 +1,5 @@
 // Terminal sparklines: the erosion report draws each run's per-iteration
-// utilization trace, and `alpha-tuning` its gain landscape, on one line
+// utilization trace, and `intervals` its gain landscape, on one line
 // without any plotting dependency.
 #pragma once
 

@@ -136,6 +136,9 @@ TEST(Cli, NoArgumentsPrintsUsageAndFails) {
 TEST(Cli, HelpSubcommandSucceeds) {
   std::ostringstream out;
   EXPECT_EQ(run({"help"}, out), 0);
+  EXPECT_EQ(subcommand_names(),
+            (std::vector<std::string>{"erosion", "intervals", "instances",
+                                      "interval-quality", "serve"}));
   for (const auto& name : subcommand_names())
     EXPECT_NE(out.str().find(name), std::string::npos)
         << "usage() must list " << name;
@@ -157,19 +160,8 @@ TEST(Cli, UnknownSubcommandThrows) {
 
 TEST(Cli, UnknownFlagThrows) {
   std::ostringstream out;
-  EXPECT_THROW(run({"quickstart", "--frobnicate", "1"}, out),
+  EXPECT_THROW(run({"intervals", "--frobnicate", "1"}, out),
                std::invalid_argument);
-}
-
-TEST(Cli, QuickstartDispatchesAndReports) {
-  std::ostringstream out;
-  EXPECT_EQ(run({"quickstart", "--P", "64", "--N", "4", "--gamma", "50",
-                 "--w0", "1e11", "--a", "6e4", "--m", "3e7", "--alpha",
-                 "0.5", "--lb-cost", "1.0"},
-                out),
-            0);
-  EXPECT_NE(out.str().find("P=64"), std::string::npos);
-  EXPECT_NE(out.str().find("anticipation gain"), std::string::npos);
 }
 
 TEST(Cli, IntervalsDispatchesWithSmallSweep) {
@@ -182,35 +174,87 @@ TEST(Cli, IntervalsDispatchesWithSmallSweep) {
   EXPECT_NE(out.str().find("best alpha"), std::string::npos);
 }
 
-TEST(Cli, AlphaTuningDispatchesAndFindsBestAlpha) {
+TEST(Cli, IntervalsAlphaZeroRowIsTheStandardMethod) {
+  // tau_Menon = 14.84: the standard method balances every round(tau) = 15
+  // iterations, and the alpha = 0 row is that method, not a sigma+ schedule
+  // stepping by floor(tau) = 14.
   std::ostringstream out;
-  EXPECT_EQ(run({"alpha-tuning", "--alpha-min", "0.2", "--alpha-max", "0.6",
-                 "--alpha-step", "0.2"},
+  EXPECT_EQ(run({"intervals", "--lb-cost", "2.1", "--alpha-steps", "4",
+                 "--dp", "off"},
                 out),
             0);
-  EXPECT_NE(out.str().find("best alpha"), std::string::npos);
+  EXPECT_NE(out.str().find("  0.00   0       14.8    6         430.60       "
+                           "0.00% "),
+            std::string::npos)
+      << out.str();
 }
 
-TEST(Cli, IntervalsRejectsMistypedDpValue) {
+TEST(Cli, IntervalsReportsTheConfiguredAlpha) {
+  const auto report = [](const std::string& alpha) {
+    std::ostringstream out;
+    EXPECT_EQ(run({"intervals", "--gamma", "40", "--alpha-steps", "4",
+                   "--alpha", alpha},
+                  out),
+              0);
+    return out.str();
+  };
+  const std::string low = report("0.3");
+  const std::string high = report("0.7");
+  EXPECT_NE(low, high);
+  EXPECT_NE(low.find("at the configured alpha (--alpha 0.3)"),
+            std::string::npos)
+      << low;
+  EXPECT_NE(high.find("at the configured alpha (--alpha 0.7)"),
+            std::string::npos)
+      << high;
+}
+
+TEST(Cli, IntervalsReportsTheModelAtTableIValues) {
+  // The 512-PE application of Table I: every number the report prints of it.
+  const auto report = [](const std::string& steps) {
+    std::ostringstream out;
+    EXPECT_EQ(run({"intervals", "--P", "512", "--N", "32", "--gamma", "100",
+                   "--w0", "1.536e12", "--a", "6e4", "--m", "3e7",
+                   "--lb-cost", "1.5", "--alpha", "0.5", "--alpha-steps",
+                   steps},
+                  out),
+              0);
+    return out.str();
+  };
+  const std::string ten = report("10");
+  for (const char* expected :
+       {"tau_Menon=10.328\n",
+        "  dW = 9.9072e+08 FLOP/iter, m_hat = 2.8125e+07, a_hat = 1.935e+06\n",
+        "  0.50   53      63.7    2         319.86       4.73%",
+        "  standard method  : 335.735 s  (9 LB calls)\n",
+        "  ULBA             : 319.859 s\n",
+        "  anticipation gain: 4.72866 %\n"})
+    EXPECT_NE(ten.find(expected), std::string::npos) << expected << ten;
+  const std::string five = report("5");
+  for (const char* expected :
+       {"  0.20   21      31.5    3         319.32       4.89%",
+        "  0.40   42      52.6    2         318.48       5.14%",
+        "  0.60   64      74.8    2         320.75       4.46%",
+        "  0.80   85      95.9    1         319.52       4.83%",
+        "gain vs alpha [%]: ",
+        "best alpha = 0.4\n  gain             5.13826 % over standard "
+        "(335.735 s -> 318.484 s)\n"})
+    EXPECT_NE(five.find(expected), std::string::npos) << expected << five;
+}
+
+TEST(Cli, IntervalsRejectsBadFlagValues) {
   std::ostringstream out;
   EXPECT_THROW(run({"intervals", "--gamma", "40", "--dp", "Off"}, out),
                std::invalid_argument);
-}
-
-TEST(Cli, AlphaTuningRejectsBadRanges) {
-  std::ostringstream out;
-  EXPECT_THROW(run({"alpha-tuning", "--alpha-min", "0.8", "--alpha-max",
-                    "0.2"},
-                   out),
-               std::invalid_argument);
-  // A step too fine for the request's grid limit is a usage error of the
-  // flag itself, raised before the grid grows past the limit.
-  try {
-    (void)run({"alpha-tuning", "--alpha-step", "1e-6"}, out);
-    ADD_FAILURE() << "--alpha-step 1e-6 must be rejected";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("--alpha-step"), std::string::npos)
-        << e.what();
+  for (const std::string steps : {"0", "1001"}) {
+    try {
+      (void)run({"intervals", "--alpha-steps", steps}, out);
+      ADD_FAILURE() << "--alpha-steps " << steps << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--alpha-steps"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

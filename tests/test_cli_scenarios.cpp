@@ -60,24 +60,14 @@ void expect_matches_golden(const std::string& name,
 }
 
 // ---------------------------------------------------------------------------
-// Golden outputs, one per subcommand (fixed seeds, small configurations)
+// Golden outputs, one per report format (fixed seeds, small configurations)
 // ---------------------------------------------------------------------------
-TEST(CliGolden, Quickstart) {
-  expect_matches_golden("quickstart", {"quickstart"});
-}
-
-TEST(CliGolden, Erosion) {
-  expect_matches_golden(
-      "erosion", {"erosion", "--pes", "16", "--iterations", "60",
-                  "--columns-per-pe", "48", "--rows", "64", "--rock-radius",
-                  "16", "--seed", "3"});
-}
-
 TEST(CliGolden, ErosionDistributed) {
   // The SPMD-distributed stepper: 4 ranks, each with a 2-thread pool. The
   // virtual-time numbers are bit-identical to the serial run (see
-  // ReportInvariantAcrossThreadsAndRanks below); the golden additionally
-  // pins the distributed header and the rank-migration accounting.
+  // ReportInvariantAcrossThreadsAndRanks below), so this one golden pins
+  // every number of the erosion report, plus the distributed header and the
+  // rank-migration accounting.
   expect_matches_golden(
       "erosion_distributed",
       {"erosion", "--pes", "16", "--iterations", "60", "--columns-per-pe",
@@ -94,12 +84,6 @@ TEST(CliGolden, IntervalQuality) {
 TEST(CliGolden, Intervals) {
   expect_matches_golden("intervals", {"intervals", "--gamma", "40",
                                       "--alpha-steps", "4"});
-}
-
-TEST(CliGolden, AlphaTuning) {
-  expect_matches_golden("alpha_tuning",
-                        {"alpha-tuning", "--alpha-min", "0.2", "--alpha-max",
-                         "0.8", "--alpha-step", "0.2"});
 }
 
 TEST(CliGolden, Instances) {
@@ -133,7 +117,18 @@ TEST(CliScenarios, ReportInvariantAcrossThreadsAndRanks) {
     }
     return out;
   };
-  const std::string serial = strip(run_cli(base));
+  // The serial header is the one line strip() drops that no golden pins:
+  // one stepping thread and no distributed block.
+  const std::string serial_text = run_cli(base);
+  EXPECT_NE(serial_text.find("\n(domain 768x64 cells, rock radius 16, "
+                             "alpha = 0.4, 1 stepping thread(s))\n\n"),
+            std::string::npos)
+      << serial_text;
+  for (const char* distributed_only :
+       {"distributed stepping", "rank migration", "per-step exchange"})
+    EXPECT_EQ(serial_text.find(distributed_only), std::string::npos)
+        << distributed_only;
+  const std::string serial = strip(serial_text);
   const auto with = [&](std::initializer_list<const char*> extra) {
     std::vector<std::string> args = base;
     args.insert(args.end(), extra.begin(), extra.end());
@@ -191,8 +186,22 @@ TEST(CliScenarios, ThreadsFlagIsValidated) {
   std::ostringstream out;
   EXPECT_THROW(run({"erosion", "--threads", "0"}, out),
                std::invalid_argument);
-  EXPECT_THROW(run({"quickstart", "--threads", "-3"}, out),
+  EXPECT_THROW(run({"erosion", "--threads", "257"}, out),
                std::invalid_argument);
+  // Every rank steps on its own pool, so the bound of 256 threads holds for
+  // --threads x --ranks: 16 ranks of 17 threads are rejected before any
+  // thread starts, by a message naming both flags.
+  try {
+    (void)run({"erosion", "--pes", "16", "--ranks", "16", "--threads", "17",
+               "--iterations", "4", "--columns-per-pe", "24", "--rows", "32",
+               "--rock-radius", "8"},
+              out);
+    ADD_FAILURE() << "--threads 17 --ranks 16 must be rejected";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--threads"), std::string::npos) << what;
+    EXPECT_NE(what.find("--ranks"), std::string::npos) << what;
+  }
 }
 
 TEST(CliScenarios, RanksFlagIsValidated) {
@@ -203,7 +212,7 @@ TEST(CliScenarios, RanksFlagIsValidated) {
   // AppConfig::validate: ranks must not exceed the PE count.
   EXPECT_THROW(run({"erosion", "--pes", "8", "--ranks", "16"}, out),
                std::invalid_argument);
-  EXPECT_THROW(run({"quickstart", "--ranks", "-1"}, out),
+  EXPECT_THROW(run({"erosion", "--ranks", "-1"}, out),
                std::invalid_argument);
 }
 
@@ -215,7 +224,7 @@ TEST(CliScenarios, RetiredFlagsAndBareMtAreRejected) {
                std::invalid_argument);
   EXPECT_THROW(run({"erosion", "--rng", "fork"}, out), std::invalid_argument);
   EXPECT_THROW(run({"erosion", "--shards", "2"}, out), std::invalid_argument);
-  EXPECT_THROW(run({"quickstart", "--shards", "2"}, out),
+  EXPECT_THROW(run({"intervals", "--shards", "2"}, out),
                std::invalid_argument);
   // One decomposition: the 2D tile-grid flags are not flags any more.
   for (const std::vector<std::string>& args :
@@ -271,12 +280,12 @@ TEST(CliScenarios, RetiredFlagsAndBareMtAreRejected) {
           << e.what();
     }
   }
-  // One cut: the paper's greedy scan is the only partitioner, so neither
-  // subcommand that used to choose one takes --partitioner, whatever name.
+  // One cut: the paper's greedy scan is the only partitioner, so no
+  // subcommand takes --partitioner, whatever name.
   for (const std::vector<std::string>& argv :
        std::vector<std::vector<std::string>>{
            {"erosion", "--partitioner", "greedy"},
-           {"quickstart", "--partitioner", "rcb"}}) {
+           {"intervals", "--partitioner", "rcb"}}) {
     try {
       (void)run(argv, out);
       ADD_FAILURE() << argv[0] << " --partitioner must be rejected";
@@ -288,8 +297,10 @@ TEST(CliScenarios, RetiredFlagsAndBareMtAreRejected) {
   }
   // ... and the harnesses built on retired machinery are gone: the
   // anticipation-vs-reactive harness, the dynamic-α ablation and the
-  // WIR-gossip ablation with its zero-cost oracle.
-  for (const std::string sub : {"anticipation", "dynamic-alpha", "gossip"}) {
+  // WIR-gossip ablation with its zero-cost oracle. One report per model:
+  // `intervals` prints everything `quickstart` and `alpha-tuning` printed.
+  for (const std::string sub : {"anticipation", "dynamic-alpha", "gossip",
+                                "quickstart", "alpha-tuning"}) {
     try {
       (void)run({sub}, out);
       ADD_FAILURE() << "the " << sub << " subcommand must be rejected";
@@ -347,10 +358,10 @@ TEST(CliScenarios, IntervalQualityRejectsBadFlags) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized-parameter smoke: quickstart accepts anything the shared
+// Randomized-parameter smoke: intervals accepts anything the shared
 // generator emits (ties the CLI vocabulary to the test-wide param factory)
 // ---------------------------------------------------------------------------
-TEST(CliScenarios, QuickstartAcceptsRandomValidModelParams) {
+TEST(CliScenarios, IntervalsAcceptsRandomValidModelParams) {
   support::Rng rng(31);
   for (int i = 0; i < 5; ++i) {
     const core::ModelParams p = ulba::testing::random_model_params(rng);
@@ -361,7 +372,7 @@ TEST(CliScenarios, QuickstartAcceptsRandomValidModelParams) {
       return os.str();
     };
     const std::string text = run_cli(
-        {"quickstart", "--P", std::to_string(p.P), "--N",
+        {"intervals", "--P", std::to_string(p.P), "--N",
          std::to_string(p.N), "--gamma", std::to_string(p.gamma), "--w0",
          num(p.w0), "--a", num(p.a), "--m", num(p.m), "--alpha",
          num(p.alpha), "--omega", num(p.omega), "--lb-cost",

@@ -24,8 +24,7 @@ REPO = ulba_lint.REPO_ROOT
 
 def lint(paths, **kwargs):
     files = ulba_lint.gather_files(paths)
-    sources, findings, backend = ulba_lint.lint_files(files, **kwargs)
-    return sources, findings, backend
+    return ulba_lint.lint_files(files, **kwargs)
 
 
 def fixture(name):
@@ -36,7 +35,7 @@ class RuleFiresOnFixture(unittest.TestCase):
     """Each of the six rules demonstrably fires on its fixture file."""
 
     def assert_rule_fires(self, fixture_name, rule, expected_lines):
-        _, findings, _ = lint([fixture(fixture_name)])
+        _, findings = lint([fixture(fixture_name)])
         hits = [f for f in findings if f.rule == rule]
         self.assertEqual(
             sorted(f.line for f in hits), sorted(expected_lines),
@@ -55,7 +54,7 @@ class RuleFiresOnFixture(unittest.TestCase):
                                "unordered-iteration", [19, 25, 33])
 
     def test_codec_discipline(self):
-        _, findings, _ = lint([fixture("codec_discipline_bad.cpp")])
+        _, findings = lint([fixture("codec_discipline_bad.cpp")])
         rules = {f.rule for f in findings}
         self.assertEqual(rules, {"codec-discipline"})
         messages = "\n".join(f.message for f in findings)
@@ -76,7 +75,7 @@ class RuleFiresOnFixture(unittest.TestCase):
                                [11, 13])
 
     def test_declarations_are_not_tag_call_sites(self):
-        _, findings, _ = lint([fixture("tag_discipline_bad.cpp")])
+        _, findings = lint([fixture("tag_discipline_bad.cpp")])
         flagged = {f.line for f in findings}
         self.assertNotIn(30, flagged,
                          "vector declaration mistaken for a send() call")
@@ -84,14 +83,14 @@ class RuleFiresOnFixture(unittest.TestCase):
 
 class CleanFileStaysClean(unittest.TestCase):
     def test_zero_findings(self):
-        _, findings, _ = lint([fixture("clean.cpp")])
+        _, findings = lint([fixture("clean.cpp")])
         self.assertEqual(
             [], [(f.line, f.rule, f.message) for f in findings])
 
 
 class Suppressions(unittest.TestCase):
     def test_inline_allow_is_honored(self):
-        sources, findings, _ = lint([fixture("suppressed.cpp")])
+        sources, findings = lint([fixture("suppressed.cpp")])
         ulba_lint.apply_suppressions(findings, sources, [])
         by_line = {f.line: f for f in findings}
         self.assertEqual(by_line[11].suppressed, "inline")
@@ -99,7 +98,7 @@ class Suppressions(unittest.TestCase):
         self.assertIsNone(by_line[20].suppressed)
 
     def test_baseline_is_honored(self):
-        sources, findings, _ = lint([fixture("suppressed.cpp")])
+        sources, findings = lint([fixture("suppressed.cpp")])
         rel = os.path.relpath(fixture("suppressed.cpp"),
                               REPO).replace(os.sep, "/")
         entries = [{"rule": "rng-discipline", "path": rel,
@@ -173,7 +172,6 @@ class JsonReport(unittest.TestCase):
         with open(out, encoding="utf-8") as f:
             report = json.load(f)
         self.assertEqual(report["tool"], "ulba-lint")
-        self.assertIn(report["backend"], ("clang", "tokens"))
         self.assertEqual(report["summary"]["total"],
                          len(report["findings"]))
         self.assertEqual(report["summary"]["blocking"], 4)
@@ -216,19 +214,9 @@ class CliContract(unittest.TestCase):
                          proc.stdout)
 
 
-class BackendDegradation(unittest.TestCase):
-    def test_tokens_backend_is_always_available(self):
-        _, findings, backend = lint([fixture("rng_discipline_bad.cpp")],
-                                    backend="tokens")
-        self.assertEqual(backend, "tokens")
-        self.assertEqual(len(findings), 4)
-
-    def test_auto_backend_reports_which_path_ran(self):
-        _, _, backend = lint([fixture("clean.cpp")], backend="auto")
-        self.assertIn(backend, ("clang", "tokens"))
-
+class FunctionDiscovery(unittest.TestCase):
     def test_function_discovery_finds_the_fixture_functions(self):
-        sources, _, _ = lint([fixture("lock_discipline_bad.cpp")])
+        sources, _ = lint([fixture("lock_discipline_bad.cpp")])
         names = {fn.name for fn in sources[0].functions}
         self.assertLessEqual(
             {"bare_lock_pair", "send_under_lock", "recv_outside_lock"},

@@ -36,13 +36,9 @@ tooling (ASan/UBSan/TSan, clang-tidy) cannot express:
                        else leaks real time into the virtual-time
                        trajectory.
 
-Backends: when libclang's python bindings are importable AND the shared
-library loads, function extents come from a real AST traversal; otherwise
-the pass degrades gracefully to a token/structural analysis (comment/string
-stripping + brace matching) so CI never silently loses coverage.  The rule
-logic itself is shared between both backends — the backend only decides how
-function boundaries and names are discovered.  The chosen backend is
-printed and recorded in the JSON report.
+Function extents come from a token/structural analysis (comment/string
+stripping + brace matching); it needs nothing beyond the Python standard
+library, so every run, in CI and in ctest, analyses the same way.
 
 Suppressions, in order of preference:
   1. Fix the code.
@@ -54,7 +50,7 @@ Suppressions, in order of preference:
 
 Usage:
     ulba_lint.py [paths...] [--baseline FILE | --no-baseline]
-                 [--json FILE] [--backend auto|clang|tokens]
+                 [--json FILE]
                  [--rules r1,r2] [--list-rules]
 
 Exit codes: 0 clean, 1 unsuppressed findings, 2 usage/config error.
@@ -129,7 +125,7 @@ class Function:
 
 class SourceFile:
     """One parsed file: raw text, comment/string-stripped text, inline
-    allow() escapes, and the function extents (from either backend)."""
+    allow() escapes, and the function extents."""
 
     def __init__(self, path, rel_path, raw_text):
         self.path = path
@@ -243,7 +239,7 @@ def collect_inline_allows(raw_lines):
 
 
 # ---------------------------------------------------------------------------
-# Function discovery — token/structural backend
+# Function discovery
 # ---------------------------------------------------------------------------
 
 _NOT_FUNCTION_NAMES = {
@@ -268,7 +264,7 @@ def _matching(text, start, open_ch, close_ch):
     return len(text)
 
 
-def discover_functions_tokens(sf):
+def discover_functions(sf):
     """Function definitions via comment-stripped pattern + brace matching.
 
     Heuristic tuned for this clang-format'ed codebase: an identifier
@@ -320,66 +316,6 @@ def discover_functions_tokens(sf):
         start_line = text.count("\n", 0, m.start()) + 1
         end_line = text.count("\n", 0, max(body_end - 1, 0)) + 1
         functions.append(Function(name, start_line, end_line))
-    return functions
-
-
-# ---------------------------------------------------------------------------
-# Function discovery — libclang backend
-# ---------------------------------------------------------------------------
-
-def load_libclang():
-    """Return the clang.cindex module with a working library, else None."""
-    try:
-        from clang import cindex  # noqa: PLC0415
-    except ImportError:
-        return None
-    try:
-        cindex.Index.create()
-        return cindex
-    except Exception:
-        # Bindings importable but libclang.so missing/mismatched.
-        for name in ("libclang.so", "libclang-17.so", "libclang-16.so",
-                     "libclang-15.so", "libclang-14.so"):
-            try:
-                cindex.Config.loaded = False
-                cindex.Config.set_library_file(name)
-                cindex.Index.create()
-                return cindex
-            except Exception:
-                continue
-    return None
-
-
-def discover_functions_clang(sf, cindex):
-    """Function extents from a real AST traversal.  Same model as the token
-    backend — the rules only need (name, start_line, end_line)."""
-    kinds = {
-        cindex.CursorKind.FUNCTION_DECL,
-        cindex.CursorKind.CXX_METHOD,
-        cindex.CursorKind.CONSTRUCTOR,
-        cindex.CursorKind.DESTRUCTOR,
-        cindex.CursorKind.FUNCTION_TEMPLATE,
-        cindex.CursorKind.CONVERSION_FUNCTION,
-    }
-    index = cindex.Index.create()
-    tu = index.parse(
-        sf.path,
-        args=["-x", "c++", "-std=c++20", "-I", os.path.join(REPO_ROOT, "src")],
-        options=cindex.TranslationUnit.PARSE_INCOMPLETE)
-    functions = []
-
-    def walk(cursor):
-        for child in cursor.get_children():
-            loc = child.location
-            if loc.file is not None and os.path.samefile(str(loc.file),
-                                                         sf.path):
-                if child.kind in kinds and child.is_definition():
-                    ext = child.extent
-                    functions.append(Function(child.spelling,
-                                              ext.start.line, ext.end.line))
-                walk(child)
-
-    walk(tu.cursor)
     return functions
 
 
@@ -779,17 +715,8 @@ def gather_files(paths):
     return sorted(set(files))
 
 
-def lint_files(files, backend="auto", rules=None):
-    """Returns (sources, findings, backend_used)."""
-    cindex = None
-    backend_used = "tokens"
-    if backend in ("auto", "clang"):
-        cindex = load_libclang()
-        if cindex is not None:
-            backend_used = "clang"
-        elif backend == "clang":
-            raise LintError("--backend clang requested but libclang's "
-                            "python bindings are unavailable")
+def lint_files(files, rules=None):
+    """Returns (sources, findings)."""
     active = rules or sorted(RULES)
     for rule in active:
         if rule not in RULES:
@@ -801,20 +728,14 @@ def lint_files(files, backend="auto", rules=None):
         rel = os.path.relpath(os.path.abspath(path), REPO_ROOT)
         rel = rel.replace(os.sep, "/")
         sf = SourceFile(path, rel, raw)
-        if backend_used == "clang":
-            try:
-                sf.functions = discover_functions_clang(sf, cindex)
-            except Exception:
-                sf.functions = discover_functions_tokens(sf)
-        else:
-            sf.functions = discover_functions_tokens(sf)
+        sf.functions = discover_functions(sf)
         sources.append(sf)
         for rule in active:
             if path_allowed(rule, sf.rel_path):
                 continue
             findings.extend(RULE_FUNCTIONS[rule](sf))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    return sources, findings, backend_used
+    return sources, findings
 
 
 def main(argv=None):
@@ -830,8 +751,6 @@ def main(argv=None):
                         help="ignore the baseline entirely")
     parser.add_argument("--json", dest="json_out", metavar="FILE",
                         help="write machine-readable findings JSON")
-    parser.add_argument("--backend", choices=["auto", "clang", "tokens"],
-                        default="auto")
     parser.add_argument("--rules", help="comma-separated rule subset")
     parser.add_argument("--list-rules", action="store_true")
     args = parser.parse_args(argv)
@@ -849,17 +768,13 @@ def main(argv=None):
             raise LintError("no C++ sources found under the given paths")
         baseline_entries = ([] if args.no_baseline
                             else load_baseline(args.baseline))
-        sources, findings, backend_used = lint_files(
-            files, backend=args.backend, rules=rules)
+        sources, findings = lint_files(files, rules=rules)
         apply_suppressions(findings, sources, baseline_entries)
     except LintError as err:
         print(f"ulba-lint: error: {err}", file=sys.stderr)
         return 2
 
     unsuppressed = [f for f in findings if f.suppressed is None]
-    print(f"ulba-lint: backend: {backend_used}"
-          + ("" if backend_used == "clang"
-             else " (libclang unavailable — token/structural analysis)"))
     for finding in findings:
         mark = {"inline": " [suppressed: inline allow]",
                 "baseline": " [suppressed: baseline]"}.get(
@@ -881,7 +796,6 @@ def main(argv=None):
     if args.json_out:
         report = {
             "tool": "ulba-lint",
-            "backend": backend_used,
             "files": len(files),
             "rules": sorted(rules or RULES),
             "findings": [f.to_json() for f in findings],
