@@ -107,7 +107,8 @@ void BM_GossipRound(benchmark::State& state) {
   support::Rng rng(3);
   for (auto _ : state) net.step(rng);
 }
-BENCHMARK(BM_GossipRound)->Arg(64)->Arg(256);
+// 384 is control_p384's PE count.
+BENCHMARK(BM_GossipRound)->Arg(64)->Arg(256)->Arg(384);
 
 /// The shared erosion workload of the stepper benchmarks: 16 discs on a
 /// 4096x256 field, one strongly erodible.

@@ -1,5 +1,7 @@
 #include "core/detector.hpp"
 
+#include <algorithm>
+
 #include "support/require.hpp"
 #include "support/stats.hpp"
 
@@ -17,10 +19,14 @@ bool OverloadDetector::is_overloading(double own_wir,
 
 std::int64_t OverloadDetector::count_overloading(
     std::span<const double> all) const {
-  std::int64_t n = 0;
-  for (double w : all)
-    if (is_overloading(w, all)) ++n;
-  return n;
+  if (all.empty()) return 0;
+  // support::z_score's arithmetic, with the spread and the mean taken once.
+  const double sd = support::stddev_population(all);
+  if (sd == 0.0) return 0;
+  const double mu = support::mean(all);
+  return std::count_if(all.begin(), all.end(), [&](double w) {
+    return (w - mu) / sd > threshold_;
+  });
 }
 
 }  // namespace ulba::core

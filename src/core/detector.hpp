@@ -23,7 +23,8 @@ class OverloadDetector {
                                     std::span<const double> all) const;
 
   /// Number of overloading PEs in the population — the runtime estimate of
-  /// the model's N.
+  /// the model's N; 0 for an empty population. Exactly the PEs
+  /// `is_overloading` flags, found in one pass after one mean and one σ.
   [[nodiscard]] std::int64_t count_overloading(
       std::span<const double> all) const;
 

@@ -27,6 +27,7 @@ class GossipNetwork {
   }
   [[nodiscard]] std::int64_t fanout() const noexcept { return fanout_; }
 
+  /// PE `pe`'s database. The reference is valid until the next `step`.
   [[nodiscard]] WirDatabase& database(std::int64_t pe);
   [[nodiscard]] const WirDatabase& database(std::int64_t pe) const;
 
@@ -35,10 +36,16 @@ class GossipNetwork {
   void observe_local(std::int64_t pe, double wir, std::int64_t iteration);
 
   /// One dissemination round: every PE pushes its database to `fanout`
-  /// distinct random peers (≠ itself). Target selection draws from `rng`;
-  /// merges are applied against the pre-round snapshot so the round is
-  /// order-independent (a bulk-synchronous exchange, as on a real machine
-  /// where all sends happen before any receive of the same superstep).
+  /// distinct random peers (≠ itself). Target selection draws from `rng`, in
+  /// PE order. The round is bulk-synchronous, as on a real machine where all
+  /// sends happen before any receive of the same superstep: every message
+  /// carries the state its sender had when the round began.
+  ///
+  /// It runs in pull form. Each receiver's new database is its pre-round one
+  /// merged with its senders' pre-round ones, in ascending sender order (the
+  /// order that settles same-stamp ties), written once into a second buffer
+  /// that then swaps in. No snapshot is copied, and a round allocates nothing
+  /// of size P.
   void step(support::Rng& rng);
 
   /// Rounds taken until every database knows every PE — the dissemination
@@ -47,8 +54,15 @@ class GossipNetwork {
   [[nodiscard]] std::int64_t rounds_to_full_knowledge(support::Rng rng) const;
 
  private:
-  std::vector<WirDatabase> dbs_;
+  std::vector<WirDatabase> dbs_;   ///< the current databases
+  std::vector<WirDatabase> next_;  ///< where a round writes the next ones
   std::int64_t fanout_;
+  /// The round's targets, `fanout` per sender in sender order.
+  std::vector<std::size_t> targets_;
+  /// The senders of receiver d are inbound_[first_[d] .. first_[d + 1]),
+  /// ascending.
+  std::vector<std::size_t> first_;
+  std::vector<std::size_t> inbound_;
 };
 
 }  // namespace ulba::core

@@ -9,6 +9,9 @@
 // Merging two databases keeps the fresher entry per PE — exactly the rumor-
 // mongering merge of epidemic/gossip protocols (Demers et al.). The principle
 // of persistence makes slightly stale entries acceptable.
+//
+// Storage is two flat arrays, one of stamps and one of WIRs, so a merge is
+// one branch-free pass the compiler vectorizes.
 #pragma once
 
 #include <cstdint>
@@ -27,26 +30,33 @@ class WirDatabase {
   };
 
   static constexpr std::int64_t kUnknown = -1;
+  /// Stamps lie in [kUnknown, kStampLimit), so the merge's stamp difference
+  /// cannot overflow.
+  static constexpr std::int64_t kStampLimit = std::int64_t{1} << 62;
 
   explicit WirDatabase(std::int64_t pe_count);
 
   [[nodiscard]] std::int64_t pe_count() const noexcept {
-    return static_cast<std::int64_t>(entries_.size());
+    return static_cast<std::int64_t>(stamps_.size());
   }
 
-  /// Record a locally measured WIR for `pe` at `iteration`. Overwrites only
-  /// if at least as fresh as the stored entry.
+  /// Record a locally measured WIR for `pe` at `iteration`, which must lie
+  /// in [0, kStampLimit). Overwrites only if at least as fresh as the stored
+  /// entry.
   void update(std::int64_t pe, double wir, std::int64_t iteration);
 
-  [[nodiscard]] const Entry& entry(std::int64_t pe) const;
+  [[nodiscard]] Entry entry(std::int64_t pe) const;
 
   /// Epidemic merge: adopt every entry of `other` that is strictly fresher
   /// than ours. Returns the number of entries adopted.
   std::size_t merge_from(const WirDatabase& other);
 
-  /// All WIR values, with 0.0 for still-unknown PEs — the distribution the
-  /// z-score overload detector runs on.
-  [[nodiscard]] std::vector<double> wirs() const;
+  /// All WIR values, one per PE — the distribution the z-score overload
+  /// detector runs on. A still-unknown PE reads 0.0. The reference stays
+  /// valid as long as the database, and sees later updates and merges.
+  [[nodiscard]] const std::vector<double>& wirs() const noexcept {
+    return wirs_;
+  }
 
   /// Number of PEs whose WIR is still unknown.
   [[nodiscard]] std::int64_t unknown_count() const noexcept;
@@ -56,7 +66,8 @@ class WirDatabase {
   [[nodiscard]] std::int64_t max_staleness(std::int64_t now) const noexcept;
 
  private:
-  std::vector<Entry> entries_;
+  std::vector<std::int64_t> stamps_;  ///< kUnknown until first heard of
+  std::vector<double> wirs_;          ///< 0.0 while the stamp is kUnknown
 };
 
 }  // namespace ulba::core

@@ -178,7 +178,7 @@ class LbController {
     if (config_.method == Method::kUlba &&
         config_.anticipate_overhead_in_trigger) {
       const auto P = config_.pe_count;
-      const auto known = gossip_.database(0).wirs();
+      const auto& known = gossip_.database(0).wirs();
       const std::int64_t n_hat = detector_.count_overloading(known);
       if (n_hat > 0 && 2 * n_hat < P)
         threshold += config_.alpha * static_cast<double>(n_hat) /

@@ -80,7 +80,8 @@ class Rng {
     return values[index(values.size())];
   }
 
-  /// Sample k distinct indices from [0, n) (partial Fisher–Yates).
+  /// Sample k distinct indices from [0, n) (partial Fisher–Yates over a
+  /// virtual pool: O(k) memory and at most O(k²) time, whatever n).
   [[nodiscard]] std::vector<std::size_t> sample_without_replacement(
       std::size_t n, std::size_t k);
 

@@ -6,6 +6,7 @@
 #include "core/detector.hpp"
 #include "core/trigger.hpp"
 #include "erosion/app.hpp"
+#include "support/rng.hpp"
 
 namespace ulba::core {
 namespace {
@@ -62,6 +63,45 @@ TEST(Detector, RejectsBadInput) {
   EXPECT_THROW(OverloadDetector(0.0), std::invalid_argument);
   const OverloadDetector det;
   EXPECT_THROW((void)det.is_overloading(1.0, {}), std::invalid_argument);
+}
+
+TEST(Detector, CountEqualsPerPeVerdicts) {
+  // count_overloading takes the mean and σ once; is_overloading takes them
+  // per call. Over random populations the two must agree exactly.
+  support::Rng rng(2024);
+  int flagged = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const OverloadDetector det(trial % 3 == 0 ? 1.5 : 3.0);
+    std::vector<double> wirs;
+    switch (trial % 4) {
+      case 0:  // spread-out background
+        wirs.resize(static_cast<std::size_t>(rng.uniform_int(1, 400)));
+        for (double& w : wirs) w = rng.uniform(0.0, 10.0);
+        break;
+      case 1:  // zero spread
+        wirs.assign(static_cast<std::size_t>(rng.uniform_int(1, 400)),
+                    rng.uniform(0.0, 10.0));
+        break;
+      case 2:  // tight background with a few heavy outliers
+        wirs.resize(static_cast<std::size_t>(rng.uniform_int(11, 400)));
+        for (double& w : wirs) w = rng.normal(1.0, 0.05);
+        for (int hot = 0; hot < 3; ++hot)
+          wirs[rng.index(wirs.size())] = rng.uniform(50.0, 1000.0);
+        break;
+      default:  // P ≤ 9: at threshold 3, the detector's blind spot
+        wirs.assign(static_cast<std::size_t>(rng.uniform_int(1, 9)), 1.0);
+        wirs[0] = rng.uniform(5.0, 1000.0);
+        break;
+    }
+    std::int64_t expected = 0;
+    for (double w : wirs)
+      if (det.is_overloading(w, wirs)) ++expected;
+    EXPECT_EQ(det.count_overloading(wirs), expected)
+        << "trial " << trial << ", P = " << wirs.size();
+    if (expected > 0) ++flagged;
+  }
+  EXPECT_GT(flagged, 20);  // the sweep must flag PEs, not only agree on 0
+  EXPECT_EQ(OverloadDetector().count_overloading({}), 0);
 }
 
 TEST(Trigger, FirstIterationBecomesReference) {

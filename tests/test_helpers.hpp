@@ -8,6 +8,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "core/params.hpp"
 #include "erosion/domain.hpp"
@@ -97,6 +100,19 @@ inline erosion::DomainConfig random_domain_config(support::Rng& rng) {
   c.columns = cursor + rng.uniform_int(2, 24);
   c.validate();
   return c;
+}
+
+/// `Rng::sample_without_replacement` as first written: an n-element pool,
+/// shuffled in its first k slots. The reference the virtual-pool sampler and
+/// the gossip round's target draws must match, draw for draw.
+inline std::vector<std::size_t> pool_sample(support::Rng& rng, std::size_t n,
+                                            std::size_t k) {
+  std::vector<std::size_t> pool(n);
+  std::iota(pool.begin(), pool.end(), std::size_t{0});
+  for (std::size_t i = 0; i < k; ++i)
+    std::swap(pool[i], pool[i + rng.index(n - i)]);
+  pool.resize(k);
+  return pool;
 }
 
 }  // namespace ulba::testing

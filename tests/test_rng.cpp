@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
+
+#include "test_helpers.hpp"
 
 namespace ulba::support {
 namespace {
@@ -121,6 +124,23 @@ TEST(Rng, SampleWithoutReplacementRejectsOversample) {
   Rng rng(41);
   EXPECT_THROW((void)rng.sample_without_replacement(3, 4),
                std::invalid_argument);
+}
+
+TEST(Rng, SampleWithoutReplacementMatchesThePoolAlgorithm) {
+  // Same draws, same indices in the same order, same next engine draw.
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {1, 1}, {2, 1}, {383, 2}, {10, 10}, {64, 16}, {std::size_t{1} << 20, 3}};
+  for (const auto& [n, k] : cases) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng fast(seed), pool(seed);
+      for (int draw = 0; draw < 8; ++draw)
+        ASSERT_EQ(fast.sample_without_replacement(n, k),
+                  ulba::testing::pool_sample(pool, n, k))
+            << "n=" << n << " k=" << k << " seed=" << seed
+            << " draw=" << draw;
+      EXPECT_EQ(fast(), pool()) << "n=" << n << " k=" << k;
+    }
+  }
 }
 
 TEST(Rng, NormalMomentsRoughlyCorrect) {

@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <set>
 #include <vector>
 
 #include "core/gossip.hpp"
 #include "core/wir_database.hpp"
+#include "test_helpers.hpp"
 
 namespace ulba::core {
 namespace {
@@ -265,6 +268,129 @@ TEST(Gossip, FresherObservationsOverwriteDuringDissemination) {
   net.step(rng);
   for (std::int64_t pe = 0; pe < 4; ++pe)
     EXPECT_DOUBLE_EQ(net.database(pe).entry(0).wir, 2.0) << "PE " << pe;
+}
+
+TEST(WirDatabase, NegativeSizeIsInvalidArgument) {
+  // Checked before the vectors allocate, which would throw length_error.
+  EXPECT_THROW(WirDatabase(-3), std::invalid_argument);
+}
+
+TEST(Gossip, NegativeSizeIsInvalidArgument) {
+  EXPECT_THROW(GossipNetwork(-5, 1), std::invalid_argument);
+}
+
+TEST(WirDatabase, StampBound) {
+  // Stamps stay below 2^62, so the merge's stamp difference cannot overflow.
+  WirDatabase db(2);
+  EXPECT_THROW(db.update(0, 1.0, 1LL << 62), std::invalid_argument);
+  constexpr std::int64_t kLast = (1LL << 62) - 1;
+  db.update(0, 3.0, kLast);
+  const WirDatabase empty(2);
+  WirDatabase learner(2);
+  EXPECT_EQ(learner.merge_from(db), 1u);  // the fresh entry crosses over
+  EXPECT_EQ(learner.entry(0).iteration, kLast);
+  EXPECT_DOUBLE_EQ(learner.entry(0).wir, 3.0);
+  EXPECT_EQ(db.merge_from(empty), 0u);  // and kUnknown never wins
+  EXPECT_EQ(db.entry(0).iteration, kLast);
+  EXPECT_DOUBLE_EQ(db.entry(0).wir, 3.0);
+  EXPECT_FALSE(db.entry(1).known());
+}
+
+// The push round as first written, on plain vectors: a full snapshot of
+// every database, then each PE in order draws its targets with the pool
+// sampler and pushes its snapshot to them, merged by a strict `>` select.
+struct PushRoundOracle {
+  std::vector<std::vector<std::int64_t>> stamps;
+  std::vector<std::vector<double>> wirs;
+
+  explicit PushRoundOracle(std::size_t n)
+      : stamps(n, std::vector<std::int64_t>(n, WirDatabase::kUnknown)),
+        wirs(n, std::vector<double>(n, 0.0)) {}
+
+  void observe(std::size_t pe, double wir, std::int64_t iteration) {
+    if (iteration >= stamps[pe][pe]) {
+      stamps[pe][pe] = iteration;
+      wirs[pe][pe] = wir;
+    }
+  }
+
+  void step(support::Rng& rng, std::size_t fanout) {
+    const auto snap_stamps = stamps;
+    const auto snap_wirs = wirs;
+    const std::size_t n = stamps.size();
+    for (std::size_t src = 0; src < n; ++src) {
+      const std::int64_t* from_stamp = snap_stamps[src].data();
+      const double* from_wir = snap_wirs[src].data();
+      for (std::size_t slot : ulba::testing::pool_sample(rng, n - 1, fanout)) {
+        const std::size_t dst = slot >= src ? slot + 1 : slot;
+        std::int64_t* to_stamp = stamps[dst].data();
+        double* to_wir = wirs[dst].data();
+        for (std::size_t i = 0; i < n; ++i) {
+          if (from_stamp[i] > to_stamp[i]) {
+            to_stamp[i] = from_stamp[i];
+            to_wir[i] = from_wir[i];
+          }
+        }
+      }
+    }
+  }
+};
+
+TEST(Gossip, PullRoundEqualsSnapshotPushRound) {
+  // Stamps advance every third round, so a PE re-observes at the same stamp
+  // with a new value and peers hold equal stamps with different WIRs: the
+  // merge order then decides which value a receiver keeps. Every seventh PE
+  // never observes, and every fifth round observes nothing.
+  for (const std::int64_t pe_count : {2, 3, 17, 64, 384}) {
+    // fanout ∈ {1, 2, P − 1}, each below P.
+    const std::set<std::int64_t> fanouts{
+        1, std::min<std::int64_t>(2, pe_count - 1), pe_count - 1};
+    for (const std::int64_t fanout : fanouts) {
+      const auto n = static_cast<std::size_t>(pe_count);
+      GossipNetwork net(pe_count, fanout);
+      PushRoundOracle oracle(n);
+      support::Rng rng(static_cast<std::uint64_t>(pe_count * 1000 + fanout));
+      support::Rng oracle_rng = rng;
+      support::Rng values(7);
+      // Full fanout at P = 384 costs 56 M entry merges a round on each side,
+      // and there every owner reaches every receiver itself, so no tie ever
+      // reaches a staler receiver: two rounds check the 383-sender merge and
+      // keep the sanitizer build quick. The smaller cases hit the ties.
+      const std::int64_t rounds = pe_count * fanout > 10'000 ? 2 : 60;
+      for (std::int64_t round = 0; round < rounds; ++round) {
+        if (round % 5 != 4) {
+          for (std::size_t pe = 0; pe < n; ++pe) {
+            if (pe % 7 == 3) continue;
+            const double wir = values.uniform(0.0, 10.0);
+            net.observe_local(static_cast<std::int64_t>(pe), wir, round / 3);
+            oracle.observe(pe, wir, round / 3);
+          }
+        }
+        net.step(rng);
+        oracle.step(oracle_rng, static_cast<std::size_t>(fanout));
+        for (std::size_t pe = 0; pe < n; ++pe) {
+          const WirDatabase& db = net.database(static_cast<std::int64_t>(pe));
+          for (std::size_t src = 0; src < n; ++src) {
+            const WirDatabase::Entry e =
+                db.entry(static_cast<std::int64_t>(src));
+            if (e.iteration != oracle.stamps[pe][src] ||
+                std::bit_cast<std::uint64_t>(e.wir) !=
+                    std::bit_cast<std::uint64_t>(oracle.wirs[pe][src]))
+              FAIL() << "P=" << pe_count << " f=" << fanout
+                     << " round=" << round << " pe=" << pe << " src=" << src
+                     << ": (" << e.iteration << ", " << e.wir
+                     << ") against the push round's ("
+                     << oracle.stamps[pe][src] << ", "
+                     << oracle.wirs[pe][src] << ")";
+          }
+        }
+        support::Rng next = rng;
+        support::Rng oracle_next = oracle_rng;
+        ASSERT_EQ(next(), oracle_next())
+            << "P=" << pe_count << " f=" << fanout << " round=" << round;
+      }
+    }
+  }
 }
 
 }  // namespace
