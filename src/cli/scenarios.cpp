@@ -72,7 +72,8 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   ULBA_REQUIRE(threads >= 1 && threads <= 256, "--threads must be in [1, 256]");
   ULBA_REQUIRE(ranks >= 1 && ranks <= 64, "--ranks must be in [1, 64]");
   // Every rank steps on its own pool of `threads` threads (the rank itself
-  // is the pool's first), so one run starts threads × ranks threads.
+  // is the pool's first), so one run steps on threads × ranks threads, the
+  // calling thread included.
   ULBA_REQUIRE(threads * ranks <= 256,
                "--threads x --ranks must be at most 256: each of the --ranks "
                "ranks steps on its own pool of --threads threads");

@@ -38,10 +38,9 @@ double prior_lb_cost(const AppConfig& config, std::int64_t columns) {
 
 /// The virtual-time LB machinery of one run — monitoring (BSP supersteps +
 /// WIR + gossip), the adaptive trigger, and the centralized Algorithm-2 LB
-/// step — factored out of the stepping substrate so the in-process run and
-/// the SPMD-distributed run drive BIT-identical machinery: the distributed
-/// driver executes this controller on its main rank against gathered
-/// weights, which is why its RunResult equals the serial one exactly.
+/// step — kept apart from the stepping substrate: run_distributed executes
+/// it on rank 0 against the gathered weights, which are the same for every
+/// rank count, so the RunResult is too.
 ///
 /// Call protocol per iteration:
 ///   observe(iter, weights)                        — before the dynamics step
@@ -205,12 +204,13 @@ class LbController {
   RunResult result_;
 };
 
-/// The SPMD-distributed run (AppConfig::ranks > 1): every rank steps its
-/// stripe of the DistributedDomain; the main rank additionally executes the
-/// LbController against weights reassembled through real messages, so the
-/// RunResult is bit-identical to the in-process run — plus the distributed
-/// migration accounting. Every LB verdict comes from the virtual-time
-/// controller; no rank reads a wall clock.
+/// The run, over AppConfig::ranks SPMD ranks (rank 0 on the calling
+/// thread): every rank steps its stripe of the DistributedDomain, and rank 0
+/// additionally executes the LbController against weights reassembled
+/// through real messages, so the RunResult is bit-identical for every
+/// (ranks, threads) split apart from the rank accounting, which reads 0 at
+/// one rank. Every LB verdict comes from the virtual-time controller; no
+/// rank reads a wall clock.
 RunResult run_distributed(const AppConfig& config,
                           const DomainConfig& domain_config) {
   RunResult result;
@@ -360,30 +360,7 @@ DomainConfig ErosionApp::make_domain() const {
 }
 
 RunResult ErosionApp::run() const {
-  // ranks > 1: the same machinery over the SPMD runtime (real messages),
-  // bit-identical by construction — see run_distributed/LbController.
-  if (config_.ranks > 1) return run_distributed(config_, make_domain());
-
-  // The dynamics key: a forked sub-seed, independent of every LB decision,
-  // so both methods see identical erosion for one seed.
-  const std::uint64_t dynamics_seed = support::Rng(config_.seed).fork(1).seed();
-
-  ErosionDomain domain(make_domain());
-  LbController ctl(config_, lb::make_partitioner(config_.partitioner),
-                   domain.columns());
-  std::optional<support::ThreadPool> pool;
-  if (config_.threads > 1)
-    pool.emplace(static_cast<std::size_t>(config_.threads));
-
-  for (std::int64_t iter = 0; iter < config_.iterations; ++iter) {
-    ctl.observe(iter, domain.column_weights());
-    (void)domain.step_counter(dynamics_seed, iter, pool ? &*pool : nullptr);
-    if (ctl.should_balance(iter, domain.total_workload()))
-      ctl.balance(iter, domain.column_weights(), domain.column_bytes());
-    ctl.end_iteration();
-  }
-
-  return ctl.take_result(domain.column_weights(), domain.eroded_cells());
+  return run_distributed(config_, make_domain());
 }
 
 }  // namespace ulba::erosion

@@ -58,10 +58,10 @@ struct AppConfig {
   double wir_smoothing = 0.5;  ///< EMA factor on raw per-iteration WIR
   bsp::CommModel comm{};
   std::uint64_t seed = 1;
-  /// Host threads stepping the erosion dynamics (per rank when ranks > 1).
-  /// 1 = inline serial stepping; any value > 1 steps the discs (of each
-  /// rank) on a thread pool, one task per disc, so no more threads than
-  /// discs do work. The draws are addressed by (disc, iteration, cell), so
+  /// Host threads stepping the erosion dynamics on each rank. 1 = inline
+  /// serial stepping; any value > 1 steps the discs of each rank on a
+  /// thread pool, one task per disc, so no more threads than discs do
+  /// work. The draws are addressed by (disc, iteration, cell), so
   /// the trajectory is bit-identical for every thread count.
   std::int64_t threads = 1;
   /// Add Eq. (11)'s anticipated underloading overhead to the trigger
@@ -75,18 +75,17 @@ struct AppConfig {
 
   /// Cutting algorithm, by lb::make_partitioner name. "greedy" (the paper's
   /// §IV-B stripe technique) is the only one; it cuts both the centralized
-  /// LB technique's stripes and — when `ranks` > 1 — the rank stripes of
-  /// the distributed stepper.
+  /// LB technique's stripes and the rank stripes of the DistributedDomain.
   std::string partitioner = "greedy";
 
   /// SPMD ranks stepping the erosion dynamics through the message-passing
   /// runtime (erosion::DistributedDomain): each rank owns a contiguous
   /// column stripe plus the discs centered in it — no shared state — and
   /// halo deltas, frontier metadata, and LB-step migrations travel as real
-  /// runtime::Mailbox messages. 1 = the in-process ErosionDomain. The
-  /// trajectory and the final report are bit-identical to the in-process
-  /// run for every (ranks, threads) combination; `threads` > 1 gives each
-  /// rank its own stepping pool.
+  /// runtime::Mailbox messages. Rank 0 runs on the calling thread, so one
+  /// rank starts no thread. The trajectory and the final report are
+  /// bit-identical for every (ranks, threads) combination; `threads` > 1
+  /// gives each rank its own stepping pool.
   std::int64_t ranks = 1;
 
   /// Per-step exchange protocol of the distributed stepper, by
@@ -128,21 +127,21 @@ struct RunResult {
   double final_imbalance = 0.0;  ///< max/avg stripe load at the end
   std::vector<IterationRecord> iterations;
   std::vector<std::int64_t> lb_iterations;
-  /// Distributed stepping only (ranks > 1): discs that changed rank across
+  /// The rank accounting, all 0 at one rank: discs that changed rank across
   /// all rank-stripe recuts, the summed analytic migration volume of those
   /// recuts, and the real message payload bytes the migrations put on the
   /// wire (column weights + serialized disc states).
   std::int64_t rank_discs_moved = 0;
   double rank_migration_bytes = 0.0;
   double rank_observed_bytes = 0.0;
-  /// Distributed stepping only: per-step exchange traffic summed over all
-  /// ranks and iterations (halo + reduction/broadcast legs; see
-  /// DistributedDomain for the per-step message count).
+  /// Per-step exchange traffic summed over all ranks and iterations (halo +
+  /// reduction/broadcast legs; see DistributedDomain for the per-step
+  /// message count).
   std::int64_t rank_step_messages = 0;
   double rank_step_bytes = 0.0;
-  /// Distributed stepping only: the HemoCell-style fractional load
-  /// imbalance (max rank load − avg)/avg of the FINAL rank stripes, over
-  /// per-rank sums of the local stripe weights. 0 when perfectly balanced.
+  /// The HemoCell-style fractional load imbalance (max rank load − avg)/avg
+  /// of the FINAL rank stripes, over per-rank sums of the local stripe
+  /// weights. 0 when perfectly balanced, as one rank always is.
   double rank_fractional_imbalance = 0.0;
 };
 
@@ -158,7 +157,8 @@ class ErosionApp {
   /// probabilities are the paper's: 0.4 for a strong disc, 0.02 otherwise.
   [[nodiscard]] DomainConfig make_domain() const;
 
-  /// Execute the full run. Deterministic for a given config.
+  /// Execute the full run over `ranks` SPMD ranks, rank 0 on the calling
+  /// thread. Deterministic for a given config.
   [[nodiscard]] RunResult run() const;
 
  private:

@@ -1,6 +1,5 @@
-// The erosion step kernel — ONE per-disc pass shared by every stepping mode
-// (the in-process ErosionDomain, serial or pooled, and each rank of the
-// distributed DistributedDomain).
+// The erosion step kernel — ONE per-disc pass shared by both domains
+// (ErosionDomain and each rank of DistributedDomain), serial or pooled.
 //
 // Every Bernoulli draw is addressed by (disc, iteration, cell index) through
 // support::CounterRng, so NOTHING in the step depends on evaluation order.

@@ -1,5 +1,7 @@
 #include "erosion/disc.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -12,6 +14,18 @@ std::pair<std::int64_t, std::int64_t> disc_column_span(const RockDisc& disc) {
   return {disc.cx - disc.radius, disc.cx + disc.radius + 1};
 }
 
+std::int64_t disc_half_width(std::int64_t radius, std::int64_t d) {
+  ULBA_REQUIRE(d >= -radius && d <= radius,
+               "offset must lie within the disc radius");
+  const std::int64_t span2 = radius * radius - d * d;
+  // The double square root can land one off the integer floor for large
+  // arguments; settle on the exact floor.
+  auto h = static_cast<std::int64_t>(std::sqrt(static_cast<double>(span2)));
+  while (h * h > span2) --h;
+  while ((h + 1) * (h + 1) <= span2) ++h;
+  return h;
+}
+
 DiscState build_disc_state(const RockDisc& disc) {
   DiscState d;
   d.side = 2 * disc.radius + 1;
@@ -20,18 +34,11 @@ DiscState build_disc_state(const RockDisc& disc) {
   d.erosion_prob = disc.erosion_prob;
   d.cells.assign(static_cast<std::size_t>(d.side * d.side), Cell::kOutside);
 
-  const auto r2 =
-      static_cast<double>(disc.radius) * static_cast<double>(disc.radius);
   for (std::int64_t ly = 0; ly < d.side; ++ly) {
-    for (std::int64_t lx = 0; lx < d.side; ++lx) {
-      const auto dx = static_cast<double>(lx - disc.radius);
-      const auto dy = static_cast<double>(ly - disc.radius);
-      if (dx * dx + dy * dy <= r2) {
-        d.cells[static_cast<std::size_t>(ly * d.side + lx)] =
-            Cell::kRockInterior;
-        ++d.rock_remaining;
-      }
-    }
+    const std::int64_t h = disc_half_width(disc.radius, ly - disc.radius);
+    const auto center = d.cells.begin() + ly * d.side + disc.radius;
+    std::fill(center - h, center + h + 1, Cell::kRockInterior);
+    d.rock_remaining += 2 * h + 1;
   }
 
   // Promote boundary rock (any non-rock 4-neighbour) to frontier.

@@ -1,7 +1,8 @@
-// Disc-local erosion state, shared by both steppers — the in-process domain
-// and the SPMD-distributed stepper — which step it through ONE kernel
+// Disc-local erosion state, shared by both domains — ErosionDomain and the
+// per-rank DistributedDomain — which step it through ONE kernel
 // (erosion/counter_kernel.hpp):
 //
+//   * disc_half_width   — the rock rule: which cells of a disc are rock;
 //   * build_disc_state  — rasterize a RockDisc into its bounding-box cell
 //                         grid and initial frontier;
 //   * serialize_disc /  — byte-exact migration format, so a disc can change
@@ -46,8 +47,16 @@ struct DiscState {
   }
 };
 
-/// Rasterize `disc` (cells within the Euclidean radius are rock; boundary
-/// rock with any non-rock 4-neighbour starts on the frontier).
+/// The rock rule of a disc of radius `radius`: the cells within the
+/// Euclidean radius are rock, so at offset `d` from the center along one
+/// axis (|d| ≤ radius) rock spans offsets −h … h along the other, with
+/// h = ⌊√(radius² − d²)⌋, returned here. Every rock count in this module
+/// derives from it.
+[[nodiscard]] std::int64_t disc_half_width(std::int64_t radius,
+                                           std::int64_t d);
+
+/// Rasterize `disc` (rock by disc_half_width, row by row; boundary rock with
+/// any non-rock 4-neighbour starts on the frontier).
 [[nodiscard]] DiscState build_disc_state(const RockDisc& disc);
 
 /// Half-open column interval [first, last) of the disc's bounding box — the

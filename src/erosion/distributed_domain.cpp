@@ -47,42 +47,31 @@ DistributedDomain::DistributedDomain(
   const int R = comm_->size();
   ULBA_REQUIRE(static_cast<std::int64_t>(R) <= config_.columns,
                "rank count must not exceed the column count");
-  const std::vector<double> full = replay_initial_weights();
+  const std::vector<double> full = initial_column_weights(config_);
+  for (const double w : full) total_ += w;
 
   // Initial cut: even targets against the initial weights.
   const std::vector<double> targets(static_cast<std::size_t>(R),
                                     1.0 / static_cast<double>(R));
   boundaries_ = partitioner_->partition(full, targets);
   assign_local_discs();
+
+  // Every disc is rasterized once per rank: its frontier size and rock count
+  // feed the replicated counters, and the rank keeps the discs it owns.
+  frontier_sizes_.reserve(config_.discs.size());
   local_discs_.reserve(local_disc_ids_.size());
-  for (const std::size_t id : local_disc_ids_)
-    local_discs_.push_back(build_disc_state(config_.discs[id]));
+  for (std::size_t i = 0; i < config_.discs.size(); ++i) {
+    DiscState d = build_disc_state(config_.discs[i]);
+    frontier_sizes_.push_back(static_cast<std::int64_t>(d.frontier.size()));
+    rock_remaining_ += d.rock_remaining;
+    if (disc_owner_[i] == rank()) local_discs_.push_back(std::move(d));
+  }
 
   const auto r = static_cast<std::size_t>(comm_->rank());
   my_col0_ = boundaries_[r];
   weights_.assign(full.begin() + boundaries_[r],
                   full.begin() + boundaries_[r + 1]);
   recompute_neighbors();
-}
-
-std::vector<double> DistributedDomain::replay_initial_weights() {
-  const std::size_t n = config_.discs.size();
-  frontier_sizes_.assign(n, 0);
-  std::vector<double> full(
-      static_cast<std::size_t>(config_.columns),
-      config_.flop_per_cell * static_cast<double>(config_.rows));
-  for (std::size_t i = 0; i < n; ++i) {
-    const DiscState d = build_disc_state(config_.discs[i]);
-    frontier_sizes_[i] = static_cast<std::int64_t>(d.frontier.size());
-    rock_remaining_ += d.rock_remaining;
-    for (std::int64_t ly = 0; ly < d.side; ++ly)
-      for (std::int64_t lx = 0; lx < d.side; ++lx)
-        if (d.at(lx, ly) != Cell::kOutside)
-          full[static_cast<std::size_t>(d.x0 + lx)] -= config_.flop_per_cell;
-  }
-  total_ = 0.0;
-  for (const double w : full) total_ += w;
-  return full;
 }
 
 void DistributedDomain::recompute_neighbors() {
@@ -176,16 +165,17 @@ std::int64_t DistributedDomain::finish_step(
   std::int64_t my_eroded = 0;
   std::vector<std::map<std::int64_t, std::int64_t>> halo(
       static_cast<std::size_t>(R));
+  const double gained = config_.refinement_factor * config_.flop_per_cell;
   for (std::size_t k = 0; k < local_discs_.size(); ++k) {
     const DiscState& d = local_discs_[k];
     my_eroded += static_cast<std::int64_t>(erode[k].size());
     for (const std::int32_t idx : erode[k]) {
       const std::int64_t x = d.x0 + idx % d.side;
-      const int owner = owner_of_column(x);
-      if (owner == r)
-        credit_column(x, 1);
+      const auto local = static_cast<std::size_t>(x - my_col0_);
+      if (local < weights_.size())
+        weights_[local] += gained;
       else
-        ++halo[static_cast<std::size_t>(owner)][x];
+        ++halo[static_cast<std::size_t>(owner_of_column(x))][x];
     }
   }
 
@@ -271,7 +261,6 @@ std::int64_t DistributedDomain::finish_step(
 
   // Phase 6 — replicated global accounting (one increment per eroded cell,
   // matching the serial commit's FP trajectory).
-  const double gained = config_.refinement_factor * config_.flop_per_cell;
   for (std::int64_t c = 0; c < global_eroded; ++c) total_ += gained;
   rock_remaining_ -= global_eroded;
   eroded_ += global_eroded;
@@ -285,17 +274,21 @@ std::vector<double> DistributedDomain::gather_column_weights(int root) const {
     comm_->send_span<double>(root, kTagGatherWeights, weights_);
     return {};
   }
-  std::vector<double> full(static_cast<std::size_t>(config_.columns), 0.0);
-  std::copy(weights_.begin(), weights_.end(),
-            full.begin() + boundaries_[static_cast<std::size_t>(r)]);
+  // The stripes ascend with the rank, so appending them in rank order
+  // reassembles the full width.
+  std::vector<double> full;
+  full.reserve(static_cast<std::size_t>(config_.columns));
   for (int s = 0; s < R; ++s) {
-    if (s == root) continue;
+    if (s == root) {
+      full.insert(full.end(), weights_.begin(), weights_.end());
+      continue;
+    }
     const auto stripe = comm_->recv_vector<double>(s, kTagGatherWeights);
-    const auto begin = boundaries_[static_cast<std::size_t>(s)];
     ULBA_CHECK(static_cast<std::int64_t>(stripe.size()) ==
-                   boundaries_[static_cast<std::size_t>(s) + 1] - begin,
+                   boundaries_[static_cast<std::size_t>(s) + 1] -
+                       boundaries_[static_cast<std::size_t>(s)],
                "gathered stripe size does not match the boundaries");
-    std::copy(stripe.begin(), stripe.end(), full.begin() + begin);
+    full.insert(full.end(), stripe.begin(), stripe.end());
   }
   return full;
 }
@@ -304,13 +297,6 @@ std::vector<double> DistributedDomain::allgather_column_weights() const {
   std::vector<double> full = gather_column_weights(0);
   comm_->broadcast_vector(full, 0);
   return full;
-}
-
-DistributedReshardResult DistributedDomain::rebalance() {
-  // Reassemble the full weights on every rank: the recut, the analytic
-  // migration model, and the per-rank observed accounting all need the
-  // global view (this mirrors the centralized LB step's gather/broadcast).
-  return rebalance(allgather_column_weights());
 }
 
 DistributedReshardResult DistributedDomain::rebalance(

@@ -1,7 +1,8 @@
 // Distributed erosion domain — the erosion workload over the SPMD
-// message-passing runtime, one instance per runtime::Comm rank.
+// message-passing runtime, one instance per runtime::Comm rank. ErosionApp
+// steps every run through it, a one-rank run included.
 //
-// Unlike the in-process ErosionDomain, DistributedDomain owns no shared
+// Where ErosionDomain holds the whole domain, DistributedDomain shares no
 // state at all: each rank holds exactly the column weights of its
 // contiguous stripe plus the materialized DiscStates of the discs whose
 // centers fall in that stripe. Everything that crosses a stripe boundary is
@@ -99,15 +100,10 @@ class DistributedDomain {
   std::int64_t step_counter(std::uint64_t seed, std::int64_t iteration,
                             support::ThreadPool* pool = nullptr);
 
-  /// Collective: recut the rank stripes against the current column weights
-  /// (even targets) and migrate column weights + disc ownership as real
-  /// messages. The stepping trajectory is unaffected.
-  DistributedReshardResult rebalance();
-
-  /// Collective variant taking the full-width weights already reassembled
-  /// by `allgather_column_weights()` — callers that just gathered them
-  /// (e.g. the LB driver) avoid a second gather/broadcast round. Every
-  /// rank must pass identical contents.
+  /// Collective: recut the rank stripes against `full_weights` (even
+  /// targets) and migrate column weights + disc ownership as real messages.
+  /// Every rank must pass identical full-width contents, such as the result
+  /// of `allgather_column_weights()`. The stepping trajectory is unaffected.
   DistributedReshardResult rebalance(std::span<const double> full_weights);
 
   // ---- observers (rank-local, no communication) --------------------------
@@ -187,12 +183,6 @@ class DistributedDomain {
   [[nodiscard]] std::vector<double> allgather_column_weights() const;
 
  private:
-  /// Ctor body: replay the serial builder's weight accounting over a
-  /// transient full-width view (one DiscState alive at a time), filling the
-  /// frontier metadata, the rock census, and Wtot, and returning the initial
-  /// column weights. Every rank derives identical values without ever
-  /// holding the whole domain.
-  [[nodiscard]] std::vector<double> replay_initial_weights();
   /// Recompute disc_owner_/local ids from the current stripes (disc → rank
   /// whose stripe holds its center column).
   void assign_local_discs();

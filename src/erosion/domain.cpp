@@ -37,28 +37,31 @@ void DomainConfig::validate() const {
   }
 }
 
-ErosionDomain::ErosionDomain(DomainConfig config) : config_(std::move(config)) {
-  config_.validate();
-  // All-fluid baseline…
-  weights_.assign(static_cast<std::size_t>(config_.columns),
-                  config_.flop_per_cell * static_cast<double>(config_.rows));
-  // …minus the (cost-free) rock cells of each disc.
-  discs_.reserve(config_.discs.size());
-  for (const RockDisc& d : config_.discs) build_disc(d);
-  total_ = 0.0;
-  for (double w : weights_) total_ += w;
+std::vector<double> initial_column_weights(const DomainConfig& config) {
+  std::vector<double> weights(
+      static_cast<std::size_t>(config.columns),
+      config.flop_per_cell * static_cast<double>(config.rows));
+  // One subtraction per rock cell, row span by row span, rather than one
+  // product per column: for a fractional cell cost the two round
+  // differently, and recorded runs hold the per-cell result.
+  for (const RockDisc& disc : config.discs)
+    for (std::int64_t dy = -disc.radius; dy <= disc.radius; ++dy) {
+      const std::int64_t h = disc_half_width(disc.radius, dy);
+      for (std::int64_t x = disc.cx - h; x <= disc.cx + h; ++x)
+        weights[static_cast<std::size_t>(x)] -= config.flop_per_cell;
+    }
+  return weights;
 }
 
-void ErosionDomain::build_disc(const RockDisc& disc) {
-  DiscState d = build_disc_state(disc);
-  // Rock cells are cost-free: subtract them from the all-fluid baseline,
-  // one cell at a time (the same per-cell accounting commit_disc reverses).
-  for (std::int64_t ly = 0; ly < d.side; ++ly)
-    for (std::int64_t lx = 0; lx < d.side; ++lx)
-      if (d.at(lx, ly) != Cell::kOutside)
-        weights_[static_cast<std::size_t>(d.x0 + lx)] -= config_.flop_per_cell;
-  rock_remaining_ += d.rock_remaining;
-  discs_.push_back(std::move(d));
+ErosionDomain::ErosionDomain(DomainConfig config) : config_(std::move(config)) {
+  config_.validate();
+  weights_ = initial_column_weights(config_);
+  discs_.reserve(config_.discs.size());
+  for (const RockDisc& d : config_.discs) {
+    discs_.push_back(build_disc_state(d));
+    rock_remaining_ += discs_.back().rock_remaining;
+  }
+  for (double w : weights_) total_ += w;
 }
 
 std::int64_t ErosionDomain::step_counter(std::uint64_t seed,

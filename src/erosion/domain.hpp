@@ -44,6 +44,13 @@ struct DomainConfig {
   void validate() const;
 };
 
+/// The per-column workload [FLOP] before the first step, which both domains
+/// start from: each column's all-fluid cost, less `flop_per_cell` for every
+/// rock cell (rock is cost-free). The rock cells are counted by
+/// disc_half_width, so no disc is rasterized. `config` must be valid.
+[[nodiscard]] std::vector<double> initial_column_weights(
+    const DomainConfig& config);
+
 class ErosionDomain {
  public:
   explicit ErosionDomain(DomainConfig config);
@@ -84,9 +91,6 @@ class ErosionDomain {
   [[nodiscard]] std::int64_t disc_rock_remaining(std::size_t disc) const;
 
  private:
-  /// Rasterize one disc (erosion/disc.hpp) and fold its rock footprint into
-  /// the per-column workload baseline.
-  void build_disc(const RockDisc& disc);
   /// Commit a disc's erosion to the per-column workload accounting (one
   /// constant increment per eroded cell, so the order cannot matter).
   std::int64_t commit_disc(const DiscState& d,

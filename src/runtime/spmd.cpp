@@ -14,20 +14,20 @@ void spmd_run(int size, const std::function<void(Comm&)>& body) {
 
   World world(size);
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(size));
+  const auto run_rank = [&world, &body, &errors](int r) {
+    try {
+      Comm comm(world, r);
+      body(comm);
+    } catch (...) {
+      errors[static_cast<std::size_t>(r)] = std::current_exception();
+    }
+  };
 
   {
-    std::vector<std::jthread> threads;
-    threads.reserve(static_cast<std::size_t>(size));
-    for (int r = 0; r < size; ++r) {
-      threads.emplace_back([&world, &body, &errors, r] {
-        try {
-          Comm comm(world, r);
-          body(comm);
-        } catch (...) {
-          errors[static_cast<std::size_t>(r)] = std::current_exception();
-        }
-      });
-    }
+    std::vector<std::jthread> peers;
+    peers.reserve(static_cast<std::size_t>(size - 1));
+    for (int r = 1; r < size; ++r) peers.emplace_back(run_rank, r);
+    run_rank(0);
   }  // jthreads join here
 
   for (const auto& err : errors)

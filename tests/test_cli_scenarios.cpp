@@ -218,8 +218,8 @@ TEST(CliScenarios, RanksFlagIsValidated) {
 
 TEST(CliScenarios, RetiredFlagsAndBareMtAreRejected) {
   std::ostringstream out;
-  // One RNG kind and one in-process stepper: --rng and --shards are not
-  // flags (exit 2 at the binary).
+  // One RNG kind and one stepper: --rng and --shards are not flags (exit 2
+  // at the binary).
   EXPECT_THROW(run({"erosion", "--rng", "counter"}, out),
                std::invalid_argument);
   EXPECT_THROW(run({"erosion", "--rng", "fork"}, out), std::invalid_argument);

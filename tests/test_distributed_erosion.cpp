@@ -53,7 +53,7 @@ std::vector<double> random_skew(std::int64_t columns, std::uint64_t seed) {
   return skew;
 }
 
-/// Serial in-process reference: the domain after `steps` iterations.
+/// Serial ErosionDomain reference: the domain after `steps` iterations.
 struct SerialReference {
   std::vector<double> weights;
   double total = 0.0;
@@ -189,7 +189,8 @@ TEST(DistributedErosion, BitIdenticalToSerialForEveryRankExchangePool) {
           for (int s = 0; s < kSteps; ++s) {
             eroded_total +=
                 domain.step_counter(seed, s, pool ? &*pool : nullptr);
-            if (s == kSteps / 2) (void)domain.rebalance();
+            if (s == kSteps / 2)
+              (void)domain.rebalance(domain.allgather_column_weights());
             if (s == 3 * kSteps / 4) (void)domain.rebalance(skew);
           }
           EXPECT_EQ(eroded_total, ref.eroded);
@@ -219,7 +220,8 @@ TEST(DistributedErosion, MidRunMigrationKeepsTrajectoryAndCover) {
       for (int s = 0; s < kSteps; ++s) {
         (void)domain.step_counter(seed, s, &pool);
         if (s % 6 == 5) {
-          const DistributedReshardResult res = domain.rebalance();
+          const DistributedReshardResult res =
+              domain.rebalance(domain.allgather_column_weights());
           EXPECT_EQ(res.boundaries.size(),
                     static_cast<std::size_t>(ranks) + 1);
           EXPECT_GE(res.discs_moved, 0);
@@ -356,7 +358,8 @@ TEST(DistributedErosion, RebalanceMigratesStateAsMessagesAndMatchesModel) {
     for (int s = 0; s < 16; ++s) (void)domain.step_counter(7, s);
 
     const lb::StripeBoundaries before = domain.rank_boundaries();
-    const DistributedReshardResult res = domain.rebalance();
+    const DistributedReshardResult res =
+        domain.rebalance(domain.allgather_column_weights());
     EXPECT_NE(before, res.boundaries)
         << "the skewed profile should move the even cut";
     EXPECT_GE(res.discs_moved, 1)
@@ -398,7 +401,8 @@ TEST(DistributedErosion, FractionalLoadImbalanceMatchesGatheredStripeSums) {
         DistributedDomain domain(cfg, comm, greedy());
         for (int s = 0; s < 10; ++s) {
           (void)domain.step_counter(seed, s);
-          if (s == 4) (void)domain.rebalance();
+          if (s == 4)
+            (void)domain.rebalance(domain.allgather_column_weights());
         }
         const double imbalance = domain.fractional_load_imbalance();
         const std::vector<double> every_rank = comm.allgather(imbalance);
@@ -503,11 +507,11 @@ TEST(DistributedErosion, DiscHandOffRoundTripsBitExactly) {
 }
 
 /// App level: AppConfig::threads > 1 steps the same trajectory on a pool,
-/// and AppConfig::ranks > 1 runs the SAME virtual-time LB machinery
-/// (LbController) over the distributed domain, so the whole RunResult —
-/// times, LB schedule, recorded thresholds — must be BIT-identical to the
-/// serial in-process run for every variant; only the rank-migration
-/// accounting is additional. Checked on a small domain and on the scaled
+/// and every rank count runs the SAME virtual-time LB machinery
+/// (LbController) on rank 0, so the whole RunResult — times, LB schedule,
+/// recorded thresholds — must be BIT-identical to the one-rank, one-thread
+/// run for every variant; only the rank-migration accounting, 0 at one
+/// rank, is additional. Checked on a small domain and on the scaled
 /// Figure-4 configuration the sweeps run (32 PEs, 120 iterations).
 TEST(DistributedErosion, AppRunResultBitIdenticalToSerial) {
   erosion::AppConfig small;
@@ -540,7 +544,7 @@ TEST(DistributedErosion, AppRunResultBitIdenticalToSerial) {
     ASSERT_GE(serial.lb_count, 1)
         << c.name << ": the reference run must exercise a mid-run LB step";
     EXPECT_EQ(serial.rank_discs_moved, 0)
-        << c.name << ": the serial run reports no distributed accounting";
+        << c.name << ": a one-rank run moves no disc between ranks";
 
     for (const Variant v : c.variants) {
       AppConfig variant_cfg = c.cfg;
@@ -587,7 +591,7 @@ TEST(DistributedErosion, AppRunResultBitIdenticalToSerial) {
 }
 
 /// App level: RunResult::rank_fractional_imbalance rates the final rank cut
-/// — 0 in process (no ranks), finite and nonnegative over R ranks, and
+/// — 0 at one rank, finite and nonnegative over R ranks, and
 /// untouched by the per-rank stepping pools (one trajectory, one cut).
 TEST(DistributedErosion, AppRankFractionalImbalanceIsThreadInvariant) {
   erosion::AppConfig cfg;

@@ -9,6 +9,12 @@
 #include <numeric>
 #include <vector>
 
+#include "erosion/distributed_domain.hpp"
+#include "lb/partitioners.hpp"
+#include "runtime/spmd.hpp"
+#include "support/rng.hpp"
+#include "test_helpers.hpp"
+
 namespace ulba::erosion {
 namespace {
 
@@ -71,6 +77,63 @@ TEST(Domain, ColumnsOutsideTheDiscAreFullFluid) {
   EXPECT_DOUBLE_EQ(w[99], 52.0 * 60.0);
   // The disc's central column carries 21 rock cells (y ∈ [20, 40]).
   EXPECT_DOUBLE_EQ(w[50], 52.0 * (60.0 - 21.0));
+}
+
+TEST(Domain, InitialWeightsCountTheRockOfEveryRasterizedColumn) {
+  // Column cx + dx of a disc holds 2·disc_half_width(r, dx) + 1 rock cells:
+  // the cells within the Euclidean radius, the non-kOutside cells of that
+  // column of build_disc_state, and what initial_column_weights subtracts.
+  std::vector<std::int64_t> radii(64);
+  std::iota(radii.begin(), radii.end(), std::int64_t{1});
+  radii.push_back(250);
+  for (const std::int64_t r : radii) {
+    DomainConfig c;
+    c.columns = 2 * r + 3;
+    c.rows = 2 * r + 3;
+    c.flop_per_cell = 1.0;  // so each weight is its fluid-cell count
+    c.discs = {RockDisc{r + 1, r + 1, r, 0.5}};
+    c.validate();
+    const DiscState d = build_disc_state(c.discs[0]);
+    const std::vector<double> w = initial_column_weights(c);
+    for (std::int64_t lx = 0; lx < d.side; ++lx) {
+      const std::int64_t dx = lx - r;
+      std::int64_t rasterized = 0, euclidean = 0;
+      for (std::int64_t ly = 0; ly < d.side; ++ly) {
+        const std::int64_t dy = ly - r;
+        rasterized += d.at(lx, ly) != Cell::kOutside ? 1 : 0;
+        euclidean += dx * dx + dy * dy <= r * r ? 1 : 0;
+      }
+      ASSERT_EQ(2 * disc_half_width(r, dx) + 1, rasterized)
+          << "radius " << r << ", dx " << dx;
+      ASSERT_EQ(euclidean, rasterized) << "radius " << r << ", dx " << dx;
+      ASSERT_EQ(w[static_cast<std::size_t>(d.x0 + lx)],
+                static_cast<double>(c.rows - rasterized))
+          << "radius " << r << ", dx " << dx;
+    }
+  }
+}
+
+TEST(Domain, OneRankDistributedDomainStartsAsErosionDomain) {
+  // Random configurations: 1–6 discs and fractional cell costs.
+  support::Rng config_rng(2718);
+  for (int trial = 0; trial < 6; ++trial) {
+    const DomainConfig cfg = testing::random_domain_config(config_rng);
+    const ErosionDomain serial(cfg);
+    runtime::spmd_run(1, [&](runtime::Comm& comm) {
+      const DistributedDomain one(cfg, comm, lb::make_partitioner("greedy"));
+      const std::vector<double> w = one.gather_column_weights(0);
+      const auto expected = serial.column_weights();
+      ASSERT_EQ(w.size(), expected.size()) << "trial " << trial;
+      for (std::size_t x = 0; x < w.size(); ++x)
+        EXPECT_EQ(w[x], expected[x]) << "trial " << trial << ", column " << x;
+      EXPECT_EQ(one.total_workload(), serial.total_workload())
+          << "trial " << trial;
+      EXPECT_EQ(one.rock_cells_remaining(), serial.rock_cells_remaining())
+          << "trial " << trial;
+      EXPECT_EQ(one.frontier_size(), serial.frontier_size())
+          << "trial " << trial;
+    });
+  }
 }
 
 TEST(Domain, FrontierStartsOnTheRim) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/spmd.hpp"
@@ -67,6 +70,45 @@ TEST(Spmd, ExceptionFromRankPropagates) {
                                           std::to_string(comm.rank()));
                }),
       std::runtime_error);
+}
+
+TEST(Spmd, RankZeroRunsOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const int size : {1, 4}) {
+    std::vector<std::thread::id> ids(static_cast<std::size_t>(size));
+    spmd_run(size, [&](Comm& comm) {
+      ids[static_cast<std::size_t>(comm.rank())] = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ids[0], caller) << "size " << size;
+    for (std::size_t r = 1; r < ids.size(); ++r) {
+      EXPECT_NE(ids[r], caller) << "size " << size << ", rank " << r;
+      for (std::size_t q = 1; q < r; ++q)
+        EXPECT_NE(ids[r], ids[q]) << "size " << size << ", rank " << r;
+    }
+  }
+}
+
+TEST(Spmd, RankZeroExceptionReachesTheCallerAfterItsPeersJoin) {
+  // The peers finish only after rank 0 has thrown, so the count below
+  // proves that spmd_run joined them before it rethrew.
+  std::atomic<bool> thrown{false};
+  std::atomic<int> peers_done{0};
+  try {
+    spmd_run(4, [&](Comm& comm) {
+      if (comm.rank() == 0) {
+        thrown = true;
+        thrown.notify_all();
+        throw std::runtime_error("rank 0 failed");
+      }
+      thrown.wait(false);
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      ++peers_done;
+    });
+    ADD_FAILURE() << "rank 0's exception did not reach the caller";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 0 failed");
+    EXPECT_EQ(peers_done.load(), 3);
+  }
 }
 
 TEST(Spmd, RejectsBadArguments) {
